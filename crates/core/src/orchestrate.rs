@@ -221,7 +221,11 @@ impl SuiteConfig {
 
 /// Wall-clock replay throughput, aggregated over the suite's replay
 /// wave. Non-deterministic by nature: reported in the JSON `run`
-/// section (`run/ops_per_sec/…`), never in the deterministic section.
+/// section (`run/ops_per_sec/total`), never in the deterministic section.
+///
+/// There is no per-platform rate: one bank job drives all its platforms
+/// off a single decode, so its time cannot be split among them. Per-platform
+/// model cost is measured by timing each `CycleSim` alone.
 #[derive(Debug, Clone, Default)]
 pub struct ReplayThroughput {
     /// Ops decoded and simulated across all platform passes (each
@@ -233,28 +237,9 @@ pub struct ReplayThroughput {
     /// CPU-seconds, which overlap on the pool and would under-report
     /// true aggregate throughput whenever jobs run in parallel.
     pub seconds: f64,
-    /// Per-platform `(name, ops, seconds)` in [`PlatformConfig::all`]
-    /// order. A bank job's elapsed time is split evenly across the
-    /// platforms it drove, so the per-platform rates stay comparable
-    /// CPU-time rates after the (program × variant) resharding; only
-    /// `total` is a wall-clock rate.
-    pub per_platform: Vec<(&'static str, u64, f64)>,
 }
 
 impl ReplayThroughput {
-    /// Accumulates one platform's share of a replay job (its recording's
-    /// ops and its even split of the job's elapsed time).
-    fn add(&mut self, platform: &'static str, ops: u64, elapsed: Duration) {
-        let secs = elapsed.as_secs_f64();
-        self.replayed_ops += ops;
-        if let Some(slot) = self.per_platform.iter_mut().find(|(name, _, _)| *name == platform) {
-            slot.1 += ops;
-            slot.2 += secs;
-        } else {
-            self.per_platform.push((platform, ops, secs));
-        }
-    }
-
     /// Aggregate replay throughput in ops per second, measured against
     /// the wave's elapsed wall-clock (0 if nothing ran).
     pub fn ops_per_sec(&self) -> f64 {
@@ -265,19 +250,9 @@ impl ReplayThroughput {
         }
     }
 
-    /// The `run/ops_per_sec` gauge object: one entry per platform plus
-    /// the `total` aggregate.
+    /// The `run/ops_per_sec` gauge object: the `total` aggregate.
     fn to_json(&self) -> Json {
-        let mut entries: Vec<(String, Json)> = self
-            .per_platform
-            .iter()
-            .map(|(name, ops, secs)| {
-                let rate = if *secs > 0.0 { *ops as f64 / secs } else { 0.0 };
-                (name.to_string(), Json::F64(rate))
-            })
-            .collect();
-        entries.push(("total".to_string(), Json::F64(self.ops_per_sec())));
-        Json::Object(entries)
+        Json::object(vec![("total", Json::F64(self.ops_per_sec()))])
     }
 }
 
@@ -673,7 +648,7 @@ fn replay_banked(
         }
         for (i, platform) in platforms.iter().enumerate() {
             for (bank, variant) in [(&original, "original"), (&transformed, "transformed")] {
-                throughput.add(platform.name, bank.ops, bank.elapsed / platforms.len() as u32);
+                throughput.replayed_ops += bank.ops;
                 merged.events.merge_prefixed(
                     &format!("events/{name}/{}/{variant}/", platform.name),
                     &bank.results[i].1,
@@ -1308,16 +1283,11 @@ mod tests {
 
     #[test]
     fn replay_throughput_total_uses_wave_wall_clock() {
-        // Per-platform seconds accumulate (CPU-time style), but the
-        // aggregate divides by the wave's elapsed wall-clock, set once —
-        // summed shard seconds would under-report parallel throughput.
-        let mut t = ReplayThroughput::default();
-        t.add("A", 1_000, Duration::from_secs(2));
-        t.add("B", 1_000, Duration::from_secs(2));
-        t.seconds = 2.0; // both platform passes overlapped on the pool
+        // The aggregate divides by the wave's elapsed wall-clock, set
+        // once — summed shard seconds would under-report parallel
+        // throughput.
+        let t = ReplayThroughput { replayed_ops: 2_000, seconds: 2.0 };
         assert_eq!(t.ops_per_sec(), 1_000.0, "2k ops in 2s of wall-clock");
-        let a = &t.per_platform[0];
-        assert_eq!((a.0, a.1, a.2), ("A", 1_000, 2.0));
 
         let empty = ReplayThroughput::default();
         assert_eq!(empty.ops_per_sec(), 0.0, "no replay ran");
@@ -1391,7 +1361,7 @@ mod tests {
         );
         let rates = run.get("ops_per_sec").expect("throughput gauges");
         assert!(rates.get("total").and_then(Json::as_f64).unwrap_or(0.0) > 0.0);
-        assert!(rates.get("Alpha 21264").is_some());
+        assert!(rates.get("Alpha 21264").is_none(), "no even-split per-platform gauge");
         assert!(run.get("replayed_ops").and_then(Json::as_u64).unwrap_or(0) > 0);
         let det = doc.get("deterministic").expect("deterministic section");
         assert_eq!(det.keys(), vec!["config", "counters", "gauges", "histograms"]);

@@ -5,9 +5,15 @@
 //! [`Program`] interns locations into dense [`StaticId`]s so that
 //! per-static-instruction analyses (load coverage, per-branch predictor
 //! state, the Table 5 hot-load profile) can use flat arrays.
+//!
+//! Every traced op interns its site, so the lookup is on the recording
+//! hot path. The table hashes a location by its line and column only
+//! (see [`SrcLoc`]'s `Hash`) with a one-multiply hasher; string content
+//! is read only by the equality probe of a hash hit.
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::op::OpKind;
 use crate::source::SrcLoc;
@@ -46,6 +52,30 @@ pub struct StaticInst {
     pub loc: SrcLoc,
 }
 
+/// Multiplicative hasher for the site table.
+///
+/// A [`SrcLoc`] hashes as one `u64`, which a single multiply mixes into
+/// the high bits; `finish` rotates them down to the low bits the table
+/// picks buckets with.
+#[derive(Debug, Clone, Copy, Default)]
+struct SiteHasher(u64);
+
+impl Hasher for SiteHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
 /// The static-instruction table of a traced program.
 ///
 /// # Example
@@ -61,7 +91,7 @@ pub struct StaticInst {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Program {
-    by_loc: HashMap<SrcLoc, StaticId>,
+    by_loc: HashMap<SrcLoc, StaticId, BuildHasherDefault<SiteHasher>>,
     insts: Vec<StaticInst>,
 }
 
@@ -74,7 +104,9 @@ impl Program {
     /// Interns a static instruction, returning its stable id.
     ///
     /// The first interning of a location fixes its [`OpKind`]; later calls
-    /// from the same location return the same id.
+    /// from the same location return the same id. Ids are handed out in
+    /// first-intern order, so they depend only on the sequence of sites,
+    /// never on hashing or on where the location's strings live.
     ///
     /// # Panics
     ///

@@ -6,11 +6,17 @@
 //! location of the statement that emitted it.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// A source-code location identifying where a static instruction lives.
 ///
 /// Two instructions at the same `(file, line, column)` are the same static
 /// instruction; the tracing layer uses this to intern [`StaticId`]s.
+///
+/// Equality compares all four fields by content. [`Hash`] feeds only
+/// `line` and `column`, so hashing a location never reads a string:
+/// equal locations still hash equally, and sites that share a line and
+/// column in different files or functions are told apart by `Eq`.
 ///
 /// [`StaticId`]: crate::StaticId
 ///
@@ -22,7 +28,7 @@ use std::fmt;
 /// let loc = SrcLoc::new("fast_algorithms.rs", 132, 9, "p7_viterbi");
 /// assert_eq!(loc.to_string(), "p7_viterbi (fast_algorithms.rs:132)");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct SrcLoc {
     /// File name, typically from `file!()`.
     pub file: &'static str,
@@ -45,6 +51,12 @@ impl SrcLoc {
     /// inserted by the register-pressure model).
     pub const fn synthetic(function: &'static str) -> Self {
         Self { file: "<synthetic>", line: 0, column: 0, function }
+    }
+}
+
+impl Hash for SrcLoc {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(u64::from(self.line) << 32 | u64::from(self.column));
     }
 }
 
