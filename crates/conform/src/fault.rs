@@ -59,8 +59,8 @@ pub enum FaultId {
     /// The factored sweep's miss-level annotation cursor starts at 1
     /// instead of 0, so every annotated access reads its successor's
     /// level. (Atomic in `bioperf-trace` for the same dependency-graph
-    /// reason; the perturbation site is `CycleSim::with_annotations` in
-    /// `bioperf-pipe`.)
+    /// reason; the perturbation site is the annotated lane constructor in
+    /// `bioperf-pipe`'s engine.)
     FactoredAnnotationSkew,
 }
 

@@ -25,7 +25,7 @@ use bioperf_cache::AccessKind;
 use bioperf_isa::{MicroOp, OpKind, Program, StaticId, VReg, MAX_SRCS};
 use bioperf_pipe::{CycleSim, PlatformConfig, RegFile};
 use bioperf_trace::packed::PackedStream;
-use bioperf_trace::{SpillRecorder, TraceConsumer};
+use bioperf_trace::{Recorder, SpillRecorder, TraceConsumer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -546,20 +546,40 @@ fn predictor_check(ops: &[MicroOp]) -> Option<Divergence> {
     })
 }
 
-/// Full cycle simulation, optimized vs. [`RefPipeline`].
+/// Full cycle simulation, optimized vs. [`RefPipeline`]: per op (each op
+/// a one-op block), then packed and replayed in 3- and 64-op blocks, so
+/// chunk edges fall inside spill sequences and branch shadows.
 fn pipeline_check(ops: &[MicroOp], platform: &PlatformConfig) -> Option<Divergence> {
     let program = Program::new();
     let mut optimized = CycleSim::new(*platform);
     let mut reference = RefPipeline::new(*platform);
+    let mut recorder = Recorder::new();
     for op in ops {
         optimized.consume(op, &program);
         reference.consume(op, &program);
+        recorder.consume(op, &program);
     }
-    let fast = optimized.result();
     let slow = reference.result();
-    (fast != slow).then(|| {
-        Divergence::new("pipeline", format!("optimized {fast:?}, reference {slow:?}"))
-    })
+    let fast = optimized.result();
+    if fast != slow {
+        return Some(Divergence::new(
+            "pipeline",
+            format!("per-op: optimized {fast:?}, reference {slow:?}"),
+        ));
+    }
+    let recording = recorder.into_recording(program);
+    for block_ops in [3usize, 64] {
+        let mut blocked = CycleSim::new(*platform);
+        recording.replay_bank_blocks(std::slice::from_mut(&mut blocked), block_ops);
+        let fast = blocked.into_result();
+        if fast != slow {
+            return Some(Divergence::new(
+                "pipeline",
+                format!("{block_ops}-op blocks: optimized {fast:?}, reference {slow:?}"),
+            ));
+        }
+    }
+    None
 }
 
 /// Runs one fuzz case: derive the seed, generate, check, and — on

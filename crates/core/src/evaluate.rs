@@ -3,7 +3,7 @@
 use bioperf_kernels::{registry, ProgramId, Scale, Variant};
 use bioperf_metrics::MetricSet;
 use bioperf_pipe::{CycleSim, PlatformConfig, SimResult};
-use bioperf_trace::Tape;
+use bioperf_trace::{Batched, Tape};
 
 /// One (program, platform) cell of Table 8: both variants simulated.
 #[derive(Debug, Clone, Copy)]
@@ -117,10 +117,10 @@ pub fn evaluate_program(
     seed: u64,
 ) -> EvalCell {
     let run_variant = |variant: Variant| -> SimResult {
-        let mut tape = Tape::new(CycleSim::new(platform));
+        let mut tape = Tape::new(Batched::new(CycleSim::new(platform)));
         registry::run(&mut tape, program, variant, scale, seed);
         let (_, sim) = tape.finish();
-        sim.into_result()
+        sim.into_inner().into_result()
     };
     EvalCell {
         program,

@@ -43,6 +43,7 @@
 
 pub mod annotate;
 pub mod config;
+mod engine;
 pub mod inject;
 pub mod regfile;
 pub mod simulator;

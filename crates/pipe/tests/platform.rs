@@ -1,7 +1,7 @@
 //! Platform-behaviour tests for the timing models: each modeled
 //! mechanism is exercised in isolation with a hand-built trace.
 
-use bioperf_isa::here;
+use bioperf_isa::{here, OpKind};
 use bioperf_pipe::{CycleSim, PlatformConfig};
 use bioperf_trace::{Tape, Tracer};
 
@@ -193,4 +193,128 @@ fn all_platforms_run_a_mixed_trace() {
         assert!(r.cycles > 0 && r.ipc() <= cfg.fetch_width as f64, "{}", cfg.name);
         assert!(r.branches >= 5000, "{}: selects may add branches", cfg.name);
     }
+}
+
+/// One iteration of the Figure 3 original shape (the code of
+/// `fig3_walkthrough`): loads feeding hard branches, with a conditional
+/// store between them.
+fn fig3_original<T: Tracer>(t: &mut T, mem: &[i64; 8], hard1: bool, hard2: bool) {
+    const F: &str = "fig3_original";
+    let a = t.int_load(here!(F), &mem[0]);
+    let b = t.int_load(here!(F), &mem[1]);
+    let s = t.int_op(here!(F), &[a, b]);
+    let c = t.int_op(here!(F), &[s]);
+    if t.branch(here!(F), &[c], hard1) {
+        t.int_store(here!(F), &mem[4], s);
+    }
+    let a = t.int_load(here!(F), &mem[2]);
+    let b = t.int_load(here!(F), &mem[3]);
+    let s2 = t.int_op(here!(F), &[a, b]);
+    let mc = t.int_load(here!(F), &mem[4]);
+    let c = t.int_op(here!(F), &[s2, mc]);
+    if t.branch(here!(F), &[c], hard2) {
+        t.int_store(here!(F), &mem[4], s2);
+    }
+    let a = t.int_load(here!(F), &mem[5]);
+    let b = t.int_load(here!(F), &mem[6]);
+    let s3 = t.int_op(here!(F), &[a, b]);
+    t.int_op(here!(F), &[s3]);
+}
+
+/// The Figure 5(b) hoisted shape: every load first, selects for branches.
+fn fig5_hoisted<T: Tracer>(t: &mut T, mem: &[i64; 8], hard1: bool, hard2: bool) {
+    const F: &str = "fig5_hoisted";
+    let a1 = t.int_load(here!(F), &mem[0]);
+    let b1 = t.int_load(here!(F), &mem[1]);
+    let a2 = t.int_load(here!(F), &mem[2]);
+    let b2 = t.int_load(here!(F), &mem[3]);
+    let a3 = t.int_load(here!(F), &mem[5]);
+    let b3 = t.int_load(here!(F), &mem[6]);
+    let s1 = t.int_op(here!(F), &[a1, b1]);
+    let s2 = t.int_op(here!(F), &[a2, b2]);
+    let s3 = t.int_op(here!(F), &[a3, b3]);
+    let c1 = t.int_op(here!(F), &[s1]);
+    let m1 = t.select(here!(F), &[c1, s1, s2], hard1);
+    let c2 = t.int_op(here!(F), &[m1, s2]);
+    let m2 = t.select(here!(F), &[c2, m1, s3], hard2);
+    t.int_store(here!(F), &mem[4], m2);
+    t.int_op(here!(F), &[m2]);
+}
+
+type Row = (OpKind, u64, u64, u64, bool);
+
+/// The walkthrough's run: 300 iterations on the Alpha model with
+/// pseudo-random hard-branch outcomes; returns the last iteration's
+/// `(kind, dispatch, issue, complete, mispredicted)` rows and the cycles.
+fn walkthrough(f: impl Fn(&mut Tape<CycleSim>, &[i64; 8], bool, bool)) -> (Vec<Row>, u64) {
+    let mem = [10i64, 20, 30, 40, 50, 60, 70, 80];
+    let mut tape = Tape::new(CycleSim::new(PlatformConfig::alpha21264()).with_timeline());
+    let mut state = 0x2545_F491u64;
+    for _ in 0..300 {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+        f(&mut tape, &mem, (state >> 33) & 1 == 1, (state >> 34) & 1 == 1);
+    }
+    let (_, sim) = tape.finish();
+    let timeline = sim.timeline().expect("timeline enabled");
+    let first = timeline[0].sid;
+    let last = timeline.iter().rposition(|op| op.sid == first).expect("non-empty");
+    let rows = timeline[last..]
+        .iter()
+        .map(|op| (op.kind, op.dispatch, op.issue, op.complete, op.mispredicted))
+        .collect();
+    (rows, sim.result().cycles)
+}
+
+/// The Figure 3 walkthrough's timeline, pinned value for value: the
+/// original shape's first hard branch mispredicts and redirects the front
+/// end (the loads after it dispatch 13 cycles later), while the hoisted
+/// shape's selects never redirect.
+#[test]
+fn fig3_walkthrough_timeline_is_pinned() {
+    use OpKind::*;
+    let (rows, cycles) = walkthrough(fig3_original);
+    assert_eq!(cycles, 4765);
+    assert_eq!(
+        rows,
+        [
+            (IntLoad, 4744, 4744, 4747, false),
+            (IntLoad, 4745, 4745, 4748, false),
+            (IntAlu, 4745, 4748, 4749, false),
+            (IntAlu, 4745, 4749, 4750, false),
+            (CondBranch, 4745, 4750, 4751, true),
+            (IntStore, 4758, 4758, 4759, false),
+            (IntLoad, 4758, 4758, 4761, false),
+            (IntLoad, 4758, 4758, 4761, false),
+            (IntAlu, 4758, 4761, 4762, false),
+            (IntLoad, 4759, 4759, 4762, false),
+            (IntAlu, 4759, 4762, 4763, false),
+            (CondBranch, 4759, 4763, 4764, false),
+            (IntLoad, 4759, 4759, 4762, false),
+            (IntLoad, 4760, 4760, 4763, false),
+            (IntAlu, 4760, 4763, 4764, false),
+            (IntAlu, 4760, 4764, 4765, false),
+        ]
+    );
+    let (rows, cycles) = walkthrough(fig5_hoisted);
+    assert_eq!(cycles, 1196);
+    assert_eq!(
+        rows,
+        [
+            (IntLoad, 1187, 1187, 1190, false),
+            (IntLoad, 1187, 1187, 1190, false),
+            (IntLoad, 1187, 1187, 1190, false),
+            (IntLoad, 1187, 1188, 1191, false),
+            (IntLoad, 1188, 1188, 1191, false),
+            (IntLoad, 1188, 1189, 1192, false),
+            (IntAlu, 1188, 1190, 1191, false),
+            (IntAlu, 1188, 1191, 1192, false),
+            (IntAlu, 1189, 1192, 1193, false),
+            (IntAlu, 1189, 1191, 1192, false),
+            (CondMove, 1189, 1192, 1193, false),
+            (IntAlu, 1189, 1193, 1194, false),
+            (CondMove, 1190, 1194, 1195, false),
+            (IntStore, 1190, 1195, 1196, false),
+            (IntAlu, 1190, 1195, 1196, false),
+        ]
+    );
 }

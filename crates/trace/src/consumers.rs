@@ -225,6 +225,58 @@ impl<C: TraceConsumer> TraceConsumer for FanOut<C> {
     }
 }
 
+/// Collects a per-op stream (a [`Tape`](crate::Tape)'s) into
+/// [`OpBlock`](crate::OpBlock)s of [`BLOCK_OPS`](crate::BLOCK_OPS) ops and
+/// hands each to the inner consumer's `consume_block`: block-speed
+/// simulation of a kernel run without recording its trace. The inner
+/// consumer sees every op in order, but only once its block fills or at
+/// `finish`, so read it after `finish` (as [`Tape::finish`] does).
+///
+/// [`Tape::finish`]: crate::Tape::finish
+#[derive(Debug, Default)]
+pub struct Batched<C> {
+    inner: C,
+    block: crate::packed::OpBlock,
+}
+
+impl<C: TraceConsumer> Batched<C> {
+    /// Wraps `inner`.
+    pub fn new(inner: C) -> Self {
+        Self { inner, block: crate::packed::OpBlock::default() }
+    }
+
+    /// The inner consumer.
+    pub fn into_inner(self) -> C {
+        self.inner
+    }
+
+    fn flush(&mut self, program: &Program) {
+        if !self.block.is_empty() {
+            self.inner.consume_block(&self.block, program);
+            self.block.clear();
+        }
+    }
+}
+
+impl<C: TraceConsumer> TraceConsumer for Batched<C> {
+    fn consume(&mut self, op: &MicroOp, program: &Program) {
+        self.block.push_op(op);
+        if self.block.len() == crate::packed::BLOCK_OPS {
+            self.flush(program);
+        }
+    }
+
+    fn consume_block(&mut self, block: &crate::packed::OpBlock, program: &Program) {
+        self.flush(program);
+        self.inner.consume_block(block, program);
+    }
+
+    fn finish(&mut self, program: &Program) {
+        self.flush(program);
+        self.inner.finish(program);
+    }
+}
+
 /// Per-static-load dynamic execution counter — the raw data for the
 /// paper's Figure 2 cumulative-coverage curves.
 ///
@@ -318,6 +370,33 @@ mod tests {
         let (_, mix) = t.finish();
         let sum: f64 = OpClass::ALL.iter().map(|&c| mix.class_fraction(c)).sum();
         assert!((sum - 1.0).abs() < 1e-12);
+    }
+
+    /// Batching delivers every op, in order, across block edges and the
+    /// final partial block.
+    #[test]
+    fn batched_matches_per_op_delivery() {
+        #[derive(Default)]
+        struct Ops(Vec<MicroOp>);
+        impl TraceConsumer for Ops {
+            fn consume(&mut self, op: &MicroOp, _p: &Program) {
+                self.0.push(*op);
+            }
+        }
+        fn work<T: Tracer>(t: &mut T) {
+            let xs: Vec<u64> = (0..64).collect();
+            for i in 0..crate::packed::BLOCK_OPS + 100 {
+                let v = t.int_load(here!("b"), &xs[i % 64]);
+                t.branch(here!("b"), &[v], i % 3 == 0);
+            }
+        }
+        let mut batched = Tape::new(Batched::new(Ops::default()));
+        work(&mut batched);
+        let (_, batched) = batched.finish();
+        let mut plain = Tape::new(Ops::default());
+        work(&mut plain);
+        let (_, plain) = plain.finish();
+        assert_eq!(batched.into_inner().0, plain.0);
     }
 
     #[test]

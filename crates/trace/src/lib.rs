@@ -58,7 +58,7 @@ pub mod segment;
 pub mod tape;
 pub mod tracer;
 
-pub use consumers::{FanOut, InstrMix};
+pub use consumers::{Batched, FanOut, InstrMix};
 pub use normalize::{AddressNormalizer, NormalizerStats};
 pub use packed::{
     BlockDecoder, OpBlock, PackedStream, BLOCK_OPS, REG_EVENT_DST, REG_EVENT_DST_LOAD,

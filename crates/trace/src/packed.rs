@@ -460,7 +460,8 @@ struct Cursor {
 pub const BLOCK_OPS: usize = 4096;
 
 /// A reusable batch of decoded ops with structure-of-arrays filter
-/// columns, filled by [`BlockDecoder::next_block`].
+/// columns, filled by [`BlockDecoder::next_block`] (or op by op with
+/// [`OpBlock::push_op`]).
 ///
 /// The `ops` array is the decode-once product every consumer can walk
 /// (the default [`TraceConsumer::consume_block`] does exactly that); the
@@ -627,10 +628,59 @@ impl OpBlock {
         &self.reg_event_vreg
     }
 
+    /// Empties the block, keeping its capacity.
+    pub fn clear(&mut self) {
+        self.ops.clear();
+        self.clear_columns();
+    }
+
+    /// Appends one op with its filter-column entries: the per-op way to
+    /// build a block (after [`clear`](Self::clear)), equal to what
+    /// [`BlockDecoder::next_block`] produces for the same ops.
+    pub fn push_op(&mut self, op: &MicroOp) {
+        self.ops.push(*op);
+        self.push_columns(self.ops.len() - 1);
+    }
+
+    /// Appends op `i`'s filter-column entries. Always inlined: it is the
+    /// body of the decoder's per-op loop, which measured ~5% slower as a
+    /// call.
+    #[inline(always)]
+    fn push_columns(&mut self, i: usize) {
+        let op = &self.ops[i];
+        self.kind_codes.push(op.kind.code());
+        if let Some(addr) = op.addr {
+            self.mem_addrs.push(addr);
+            self.mem_loads.push(op.kind.is_load());
+            self.mem_idx.push(i as u32);
+        }
+        if op.kind.is_cond_branch() {
+            self.branch_sids.push(op.sid);
+            self.branch_taken.push(op.taken);
+            self.branch_idx.push(i as u32);
+        } else if op.kind == OpKind::CondMove {
+            self.select_idx.push(i as u32);
+            self.select_sids.push(op.sid);
+            self.select_taken.push(op.taken);
+        }
+        let idx = (i as u32) << REG_EVENT_IDX_SHIFT;
+        for (pos, src) in op.srcs.iter().enumerate() {
+            if let Some(v) = src {
+                self.reg_event_meta.push(idx | pos as u32);
+                self.reg_event_vreg.push(v.0);
+            }
+        }
+        if let Some(dst) = op.dst {
+            let load = if op.kind.is_load() { REG_EVENT_DST_LOAD } else { 0 };
+            self.reg_event_meta.push(idx | REG_EVENT_DST | load);
+            self.reg_event_vreg.push(dst.0);
+        }
+    }
+
     /// Clears the side columns only: `ops` is resized (not cleared) by
     /// the decoder so a steady-state refill overwrites each op in place
     /// instead of re-initializing it and writing it twice.
-    fn clear(&mut self) {
+    fn clear_columns(&mut self) {
         self.mem_addrs.clear();
         self.mem_loads.clear();
         self.mem_idx.clear();
@@ -671,7 +721,7 @@ impl<'a> BlockDecoder<'a> {
     /// Panics if `max_ops` is 0 on a non-exhausted stream (the decode
     /// loop could never terminate).
     pub fn next_block(&mut self, block: &mut OpBlock, max_ops: usize) -> usize {
-        block.clear();
+        block.clear_columns();
         let remaining = self.stream.ops.len() - self.index;
         if remaining == 0 {
             block.ops.clear();
@@ -703,34 +753,7 @@ impl<'a> BlockDecoder<'a> {
         );
         for (i, packed) in self.stream.ops[self.index..end].iter().enumerate() {
             self.stream.decode_into(packed, &mut self.cursor, &mut block.ops[i]);
-            let op = &block.ops[i];
-            block.kind_codes.push(op.kind.code());
-            if let Some(addr) = op.addr {
-                block.mem_addrs.push(addr);
-                block.mem_loads.push(op.kind.is_load());
-                block.mem_idx.push(i as u32);
-            }
-            if op.kind.is_cond_branch() {
-                block.branch_sids.push(op.sid);
-                block.branch_taken.push(op.taken);
-                block.branch_idx.push(i as u32);
-            } else if op.kind == OpKind::CondMove {
-                block.select_idx.push(i as u32);
-                block.select_sids.push(op.sid);
-                block.select_taken.push(op.taken);
-            }
-            let idx = (i as u32) << REG_EVENT_IDX_SHIFT;
-            for (pos, src) in op.srcs.iter().enumerate() {
-                if let Some(v) = src {
-                    block.reg_event_meta.push(idx | pos as u32);
-                    block.reg_event_vreg.push(v.0);
-                }
-            }
-            if let Some(dst) = op.dst {
-                let load = if op.kind.is_load() { REG_EVENT_DST_LOAD } else { 0 };
-                block.reg_event_meta.push(idx | REG_EVENT_DST | load);
-                block.reg_event_vreg.push(dst.0);
-            }
+            block.push_columns(i);
         }
         let decoded = end - self.index;
         self.index = end;
@@ -1124,6 +1147,46 @@ mod tests {
         assert_eq!(decoder.next_block(&mut block, BLOCK_OPS), 0);
         assert!(block.is_empty(), "an exhausted decode clears the block");
         assert_eq!(decoder.next_block(&mut block, BLOCK_OPS), 0);
+    }
+
+    /// `push_op` after `clear` builds exactly the block the decoder
+    /// fills from the same ops, every filter column included.
+    #[test]
+    fn push_op_builds_the_decoders_block() {
+        let v = |n| Some(VReg(n));
+        let ops = vec![
+            MicroOp::load(sid(0), OpKind::IntLoad, VReg(0), 0x1000, None),
+            MicroOp::load(sid(1), OpKind::FpLoad, VReg(1), 0x2000, v(0)),
+            MicroOp::compute(sid(2), OpKind::CondMove, VReg(2), [v(0), v(1), None]),
+            MicroOp::store(sid(3), OpKind::IntStore, v(2), 0x1008),
+            MicroOp::branch(sid(4), [v(2), None, None], true),
+            MicroOp::compute(sid(5), OpKind::IntAlu, VReg(3), [None, v(2), v(1)]),
+        ];
+        let mut stream = PackedStream::new();
+        for op in &ops {
+            stream.push(op);
+        }
+        let mut decoded = OpBlock::with_capacity(BLOCK_OPS);
+        stream.block_decoder().next_block(&mut decoded, BLOCK_OPS);
+        let mut pushed = OpBlock::default();
+        pushed.push_op(&ops[5]);
+        pushed.clear();
+        for op in &ops {
+            pushed.push_op(op);
+        }
+        let columns = |b: &OpBlock| {
+            format!(
+                "{:?}",
+                (
+                    b.ops(),
+                    (b.mem_addrs(), b.mem_loads(), b.mem_idx()),
+                    (b.branch_sids(), b.branch_taken(), b.branch_idx()),
+                    (b.select_idx(), b.select_sids(), b.select_taken()),
+                    (b.kind_codes(), b.reg_event_meta(), b.reg_event_vreg()),
+                )
+            )
+        };
+        assert_eq!(columns(&pushed), columns(&decoded));
     }
 
     #[test]
