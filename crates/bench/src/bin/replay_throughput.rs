@@ -1,10 +1,15 @@
 //! Replay-throughput smoke benchmark: records one heavy trace and
 //! replays it through every platform model, reporting Mops/s per
 //! platform, the packed encoding's bytes/op, and the process's peak
-//! RSS. Platforms are measured three ways — once each sequentially
+//! RSS. Platforms are measured four ways — once each sequentially
 //! (per-platform regression signal), once as a single-decode in-memory
-//! *bank* (the suite's production replay path), and once as a *streamed*
-//! bank off spilled disk segments (the spill-mode replay path) — and
+//! shared-front *bank* (the suite's production replay path: one
+//! register plan, branch merge and predictor per branch stream for every
+//! platform), once as the same blocks fanned out to independent
+//! per-platform `CycleSim`s (the in-process baseline the bank's ratio is
+//! printed against), and once as a *streamed* bank off spilled disk
+//! segments (the spill-mode replay path) — every row checked against the
+//! sequential results — and
 //! `--min-mops <x>` turns the bank aggregate into a hard floor: the
 //! binary exits 1 below it, which is how CI fails a change that
 //! regresses the replay hot loop. CI runs this in release mode and
@@ -23,7 +28,7 @@ use bioperf_bench::{banner, peak_rss_bytes, usage as usage_line, JsonReport, REP
 use bioperf_core::report::TextTable;
 use bioperf_kernels::{registry, ProgramId, Scale, Variant};
 use bioperf_metrics::Json;
-use bioperf_pipe::{CycleSim, PlatformConfig, SimResult};
+use bioperf_pipe::{CycleSim, PlatformBank, PlatformConfig, SimResult};
 use bioperf_trace::{segment_recording, Recorder, SegmentedRecording, SpillRecorder, Tape};
 
 const ARTIFACT: &str = "replay_throughput";
@@ -152,14 +157,25 @@ fn effective_block_ops(args: &Args) -> usize {
 /// Streamed bank replay of a segmented recording; returns per-platform
 /// results and elapsed seconds. Exits 1 on a segment error.
 fn streamed_bank(segmented: &SegmentedRecording, platforms: &[PlatformConfig]) -> (Vec<SimResult>, f64) {
-    let mut bank: Vec<CycleSim> = platforms.iter().map(|&p| CycleSim::new(p)).collect();
+    let mut bank = PlatformBank::new(platforms);
     let start = Instant::now();
-    if let Err(e) = segmented.replay_bank(&mut bank) {
+    if let Err(e) = segmented.replay(&mut bank) {
         eprintln!("{ARTIFACT}: streamed replay failed: {e}");
         std::process::exit(1);
     }
     let secs = start.elapsed().as_secs_f64();
-    (bank.into_iter().map(CycleSim::into_result).collect(), secs)
+    (bank.results(), secs)
+}
+
+/// Exits 1 unless every platform's `got` result equals its sequential
+/// replay.
+fn check_against_sequential(label: &str, platforms: &[PlatformConfig], got: &[SimResult], sequential: &[SimResult]) {
+    for (platform, (a, b)) in platforms.iter().zip(got.iter().zip(sequential)) {
+        if a != b {
+            eprintln!("{ARTIFACT}: {}: {label} replay diverged from sequential replay", platform.name);
+            std::process::exit(1);
+        }
+    }
 }
 
 fn report_peak_rss(json: &mut JsonReport) {
@@ -307,25 +323,39 @@ fn main() {
         String::new(),
     ]);
 
-    // The blocked bank pass: the stream is decoded into SoA op blocks and
-    // each simulator consumes a whole block at a time — the suite's
-    // production replay path.
+    // The blocked bank pass: the stream is decoded into SoA op blocks
+    // and one shared-front bank consumes a whole block at a time — one
+    // register plan, branch merge and predictor per branch stream for
+    // all four platforms, then each platform's hierarchy and timing core
+    // — the suite's production replay path.
     let block_ops = effective_block_ops(&args);
-    let mut bank: Vec<CycleSim> = platforms.iter().map(|&p| CycleSim::new(p)).collect();
+    let mut bank = PlatformBank::new(&platforms);
     let start = Instant::now();
-    recording.replay_bank_blocks(&mut bank, block_ops);
+    recording.replay_bank_blocks(std::slice::from_mut(&mut bank), block_ops);
     let bank_secs = start.elapsed().as_secs_f64();
     let bank_mops = platform_ops as f64 / bank_secs / 1e6;
-    for (platform, (banked, solo)) in platforms.iter().zip(bank.iter().zip(&sequential)) {
-        if banked.result() != *solo {
-            eprintln!("{ARTIFACT}: {}: bank replay diverged from sequential replay", platform.name);
-            std::process::exit(1);
-        }
-    }
+    check_against_sequential("bank", &platforms, &bank.results(), &sequential);
     table.row_owned(vec![
         format!("bank ({block_ops}-op blocks)"),
         format!("{bank_secs:.3}"),
         format!("{bank_mops:.1}"),
+        String::new(),
+    ]);
+
+    // The in-process baseline: the same blocks fanned out to four
+    // independent `CycleSim`s, each with its own register plan, branch
+    // merge and predictor.
+    let mut fronts: Vec<CycleSim> = platforms.iter().map(|&p| CycleSim::new(p)).collect();
+    let start = Instant::now();
+    recording.replay_bank_blocks(&mut fronts, block_ops);
+    let fronts_secs = start.elapsed().as_secs_f64();
+    let fronts_mops = platform_ops as f64 / fronts_secs / 1e6;
+    let fronts_results: Vec<SimResult> = fronts.iter().map(CycleSim::result).collect();
+    check_against_sequential("per-platform-front bank", &platforms, &fronts_results, &sequential);
+    table.row_owned(vec![
+        "bank (per-platform fronts)".to_string(),
+        format!("{fronts_secs:.3}"),
+        format!("{fronts_mops:.1}"),
         String::new(),
     ]);
 
@@ -346,15 +376,7 @@ fn main() {
     let (streamed, streamed_secs) = streamed_bank(&segmented, &platforms);
     let _ = std::fs::remove_dir_all(&seg_dir);
     let streamed_mops = platform_ops as f64 / streamed_secs / 1e6;
-    for (platform, (a, b)) in platforms.iter().zip(streamed.iter().zip(&sequential)) {
-        if a != b {
-            eprintln!(
-                "{ARTIFACT}: {}: streamed replay diverged from sequential replay",
-                platform.name
-            );
-            std::process::exit(1);
-        }
-    }
+    check_against_sequential("streamed", &platforms, &streamed, &sequential);
     table.row_owned(vec![
         format!("streamed bank ({} segs)", segmented.segment_count()),
         format!("{streamed_secs:.3}"),
@@ -362,15 +384,19 @@ fn main() {
         String::new(),
     ]);
     println!("{}", table.render());
+    let shared_gain = fronts_secs / bank_secs;
+    println!("shared front vs per-platform fronts: {shared_gain:.2}x");
 
     json.value("ops", Json::U64(ops));
     json.value("bytes_per_op", Json::F64(recording.bytes_per_op()));
     json.value("block_ops", Json::U64(block_ops as u64));
     json.value("mops_per_sec/total", Json::F64(sequential_mops));
     json.value("mops_per_sec/bank_total", Json::F64(bank_mops));
+    json.value("mops_per_sec/bank_per_platform_fronts", Json::F64(fronts_mops));
+    json.value("bank_shared_front_gain", Json::F64(shared_gain));
     json.value("mops_per_sec/streamed_bank", Json::F64(streamed_mops));
     json.value("segments", Json::U64(segmented.segment_count() as u64));
-    json.note("one hmmsearch recording; each platform replayed sequentially, all four off one block-batched bank decode, then off one streamed segment decode");
+    json.note("one hmmsearch recording; each platform replayed sequentially, all four off one block-batched shared-front bank decode, the same blocks through four independent CycleSims, then off one streamed segment decode");
     report_peak_rss(&mut json);
     json.write_if_requested(&args_to_bench(&args));
     enforce_floor("bank", bank_mops, args.min_mops);

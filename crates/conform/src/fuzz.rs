@@ -473,9 +473,19 @@ fn cache_check(ops: &[MicroOp], platform: &PlatformConfig) -> Option<Divergence>
     })
 }
 
+/// Register-file capacities every nested-file check answers besides the
+/// case platform's own: the Table 7 machines' (8, 32 and 128 logical
+/// registers).
+const NESTED_CAPACITIES: [usize; 3] = [6, 30, 126];
+
 /// Optimized O(1) register file vs. [`RefRegFile`] under the simulator's
-/// touch-sources / insert-destination access pattern.
+/// touch-sources / insert-destination access pattern, then one nested
+/// file over every capacity vs. a [`RefRegFile`] per capacity.
 fn regfile_check(ops: &[MicroOp], platform: &PlatformConfig) -> Option<Divergence> {
+    single_regfile_check(ops, platform).or_else(|| nested_regfile_check(ops, platform))
+}
+
+fn single_regfile_check(ops: &[MicroOp], platform: &PlatformConfig) -> Option<Divergence> {
     let mut optimized = RegFile::new(platform.logical_regs);
     let mut reference = RefRegFile::new(platform.logical_regs);
     for (i, op) in ops.iter().enumerate() {
@@ -506,6 +516,55 @@ fn regfile_check(ops: &[MicroOp], platform: &PlatformConfig) -> Option<Divergenc
             format!("residents: optimized {}, reference {}", optimized.len(), reference.len()),
         )
     })
+}
+
+/// One nested [`RegFile`] at the platform's capacity and every
+/// [`NESTED_CAPACITIES`] entry vs. one [`RefRegFile`] per capacity, under
+/// the engine's access pattern (every operand and destination is used:
+/// reloaded or inserted where it missed). Each access's per-capacity
+/// hit/miss answer and each capacity's final resident count must agree.
+fn nested_regfile_check(ops: &[MicroOp], platform: &PlatformConfig) -> Option<Divergence> {
+    let mut caps = vec![RegFile::capacity_for(platform.logical_regs)];
+    caps.extend(NESTED_CAPACITIES);
+    let mut nested = RegFile::nested(&caps);
+    let mut references: Vec<RefRegFile> =
+        nested.capacities().iter().map(|&c| RefRegFile::with_capacity(c)).collect();
+    for (i, op) in ops.iter().enumerate() {
+        for v in op.sources().chain(op.dst).map(|r| r.0) {
+            let misses = nested.access(v);
+            for (k, reference) in references.iter_mut().enumerate() {
+                // A use refreshes a resident value and inserts a missing one.
+                let slow = reference.touch(v);
+                if !slow {
+                    reference.insert(v);
+                }
+                let fast = k >= misses;
+                if fast != slow {
+                    return Some(Divergence::new(
+                        "regfile",
+                        format!(
+                            "op {i} nested access({v}) at capacity {}: optimized hit={fast}, reference hit={slow}",
+                            reference.capacity()
+                        ),
+                    ));
+                }
+            }
+        }
+    }
+    for (k, reference) in references.iter().enumerate() {
+        if nested.len_at(k) != reference.len() {
+            return Some(Divergence::new(
+                "regfile",
+                format!(
+                    "nested residents at capacity {}: optimized {}, reference {}",
+                    reference.capacity(),
+                    nested.len_at(k),
+                    reference.len()
+                ),
+            ));
+        }
+    }
+    None
 }
 
 /// Optimized per-branch profiler vs. [`RefPredictor`], per-branch

@@ -25,6 +25,11 @@ impl RefRegFile {
         Self { slots: Vec::with_capacity(capacity), capacity }
     }
 
+    /// A file holding `capacity` residents (`RegFile::nested`'s unit).
+    pub fn with_capacity(capacity: usize) -> Self {
+        Self { slots: Vec::with_capacity(capacity), capacity }
+    }
+
     /// Residents the file can hold before evicting.
     pub fn capacity(&self) -> usize {
         self.capacity

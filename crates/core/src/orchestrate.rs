@@ -10,9 +10,10 @@
 //!   record their load-transformed variant.
 //! * **Replay** (one job per program × variant): each [`Arc`]-shared
 //!   recording is decoded exactly once and the single decoded op stream
-//!   drives a *bank* of platform simulators
-//!   (`Recording::replay_bank`), so the 23-cell evaluation pays one
-//!   packed-decode per recording instead of one per platform pass.
+//!   drives a [`PlatformBank`] of every applicable platform, so the
+//!   23-cell evaluation pays one packed decode, one register plan and one
+//!   predictor per branch stream per recording instead of one per
+//!   platform pass.
 //!
 //! Result vectors are indexed by job, not by completion order, and the
 //! bank→cell merge walks a fixed enumeration, so the orchestrated
@@ -42,7 +43,7 @@ use bioperf_conform::fuzz::{self, CaseOutcome};
 use bioperf_conform::{RefPipeline, RefTape};
 use bioperf_kernels::{registry, ProgramId, Scale, Variant};
 use bioperf_metrics::{Json, MetricSet, Timings};
-use bioperf_pipe::{CycleSim, PlatformConfig, SimResult};
+use bioperf_pipe::{PlatformBank, PlatformConfig, SimResult};
 use bioperf_isa::MicroOp;
 use bioperf_trace::{
     replay::DEFAULT_CAPACITY, Recorder, Recording, SegmentError, SegmentedRecording,
@@ -552,28 +553,21 @@ fn prepare_program(
     })
 }
 
-/// Replays one trace store through a bank of platform models with a
-/// single decode pass, timing the whole pass. Segmented stores stream
-/// from disk and can fail with a typed segment error.
+/// Replays one trace store through a shared-front bank of platform
+/// models with a single decode pass, timing the whole pass. Segmented
+/// stores stream from disk and can fail with a typed segment error.
 fn replay_bank_job(
     store: &TraceStore,
     platforms: &[PlatformConfig],
     events: bool,
 ) -> Result<BankOutput, SegmentError> {
-    let mut sims: Vec<CycleSim> = platforms
-        .iter()
-        .map(|&p| if events { CycleSim::new(p).with_metrics() } else { CycleSim::new(p) })
-        .collect();
+    let bank = PlatformBank::new(platforms);
+    let mut bank = if events { bank.with_metrics() } else { bank };
     let start = Instant::now();
-    store.replay_bank(&mut sims)?;
+    store.replay_bank(std::slice::from_mut(&mut bank))?;
     let elapsed = start.elapsed();
-    let results = sims
-        .into_iter()
-        .map(|mut sim| {
-            let events = sim.take_metrics();
-            (sim.into_result(), events)
-        })
-        .collect();
+    let events = bank.take_metrics();
+    let results = bank.results().into_iter().zip(events).collect();
     Ok(BankOutput { results, ops: store.len() as u64, elapsed })
 }
 
@@ -974,10 +968,10 @@ fn segment_cross_check(recording: &Recording, reference: &[MicroOp]) -> Option<S
 /// Traces `program` once with a `(RefTape, Recorder)` fan-out and diffs
 /// the packed trace against the unpacked reference tape — both the
 /// in-memory decode and the spill-to-segments streamed decode — then
-/// replays the recording once through a *bank* of optimized platform
-/// simulators — the exact single-decode fan-out the suite's replay wave
-/// uses — and diffs each bank member against a standalone
-/// reference-pipeline replay of the same platform.
+/// replays the recording once through the shared-front [`PlatformBank`]
+/// of every applicable platform — the suite's replay-wave bank — and
+/// diffs each lane against a standalone reference-pipeline replay of the
+/// same platform.
 fn cross_check_program(program: ProgramId, seed: u64) -> ProgramCrossCheck {
     let mut tape = Tape::new((RefTape::new(), Recorder::new()));
     registry::run(&mut tape, program, Variant::Original, Scale::Test, seed);
@@ -1037,18 +1031,18 @@ fn cross_check_program(program: ProgramId, seed: u64) -> ProgramCrossCheck {
         return fail(divergence);
     }
 
-    // Pipelines: one bank replay drives every optimized simulator off a
-    // single decode (the suite's production path); each result is then
+    // Pipelines: one bank replay drives every platform's lane off a
+    // single decode and a shared register plan, branch merge and
+    // predictor (the suite's production path); each result is then
     // diffed against an independent reference-pipeline replay, so a bug
-    // in the shared-decode fan-out itself cannot hide.
+    // in the shared front itself cannot hide.
     let platforms = applicable_platforms(program);
     let replayed = platforms.len();
-    let mut bank: Vec<CycleSim> = platforms.iter().map(|&p| CycleSim::new(p)).collect();
-    recording.replay_bank(&mut bank);
-    for (platform, sim) in platforms.into_iter().zip(&bank) {
+    let mut bank = PlatformBank::new(&platforms);
+    recording.replay(&mut bank);
+    for (platform, fast) in platforms.into_iter().zip(bank.results()) {
         let mut reference = RefPipeline::new(platform);
         recording.replay(&mut reference);
-        let fast = sim.result();
         let slow = reference.result();
         if fast != slow {
             return fail(format!("{}: optimized {fast:?}, reference {slow:?}", platform.name));

@@ -19,6 +19,7 @@ use bioperf_isa::{MicroOp, Program};
 use bioperf_trace::{OpBlock, TraceConsumer};
 
 use crate::engine::{RegPlan, PHASE_CHUNK};
+use crate::regfile::RegFile;
 
 /// Replays a trace's hierarchy-access sequence into a bank of cache
 /// configurations, producing per-config stats and annotation streams.
@@ -38,7 +39,7 @@ impl CachePassSim {
     /// across sweep cells, so the access sequence is shared).
     pub fn new(logical_regs: u32, hierarchies: Vec<Hierarchy>) -> Self {
         Self {
-            plan: RegPlan::new(logical_regs),
+            plan: RegPlan::new(&[RegFile::capacity_for(logical_regs)]),
             bank: MissLevelBank::new(hierarchies),
             acc_loads: Vec::new(),
             addr_log: None,
@@ -144,7 +145,7 @@ mod tests {
     fn cache_pass_reproduces_cyclesim_hierarchy_stats() {
         let (program, recording) = spill_heavy_recording();
         for cfg in PlatformConfig::all() {
-            let mut sim = CycleSim::new(cfg.clone());
+            let mut sim = CycleSim::new(cfg);
             recording.replay_bank(std::slice::from_mut(&mut sim));
             let reference = sim.into_result().cache;
 

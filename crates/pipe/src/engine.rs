@@ -8,25 +8,29 @@
 //! outcome sequence. So replay runs in phases over chunks of a decoded
 //! [`OpBlock`]:
 //!
-//!  A. [`RegPlan::plan_regs`] — register file, spill planning and
-//!     ready-ring tags: every source resolved to a ready-ring slot
-//!     (`ZERO_SLOT` when it has no producer), the spill reloads it needs,
-//!     and every destination's slot;
-//!  B. [`RegPlan::merge_accesses`] and [`RegPlan::merge_branches`] — the
-//!     exact hierarchy-access sequence (pass A's spill traffic merged with
-//!     the demand column) and the exact predictor-observation sequence;
-//!  C. per predictor [`Family`] — the observation sequence's redirects;
+//!  A. [`RegPlan::plan_regs`] — one nested register file, spill planning
+//!     and ready-ring tags: every source resolved to a ready-ring slot
+//!     (`ZERO_SLOT` when it has no producer), every destination's slot,
+//!     and, per register-file capacity ([`SpillView`]), the spill reloads
+//!     each source needs;
+//!  B. [`RegPlan::merge_accesses`] and [`RegPlan::merge_branches`] — per
+//!     view, the exact hierarchy-access sequence (its spill traffic merged
+//!     with the demand column); per if-conversion mode
+//!     ([`BranchStream`]), the exact predictor-observation sequence;
+//!  C. per predictor [`Family`] (a stream and a predictor kind) — the
+//!     observation sequence's redirects;
 //!  D. per [`Lane`] — its miss-level source (a live [`Hierarchy`] or an
-//!     annotation cursor) turns the access sequence into latencies, and
-//!     its [`TimingCore`] schedules the chunk: dispatch, operand max,
-//!     issue-slot claim, ROB, redirects.
+//!     annotation cursor) turns its view's access sequence into
+//!     latencies, and its [`TimingCore`] schedules the chunk: dispatch,
+//!     operand max, issue-slot claim, ROB, redirects.
 //!
 //! Every structure sees its updates in program order, so a run is
 //! identical at any chunk size, one-op blocks included (pinned by the
 //! block-size tests and the conformance fuzzer's `RefPipeline` diff).
-//! `CycleSim` is an [`Engine`] with one live or annotated lane,
-//! `TimingBank` one with N annotated lanes over shared passes A–C, and
-//! `CachePassSim` runs passes A and B alone.
+//! Passes A–C are shared by every lane of an engine, whatever its
+//! platform: `CycleSim` is an [`Engine`] with one live or annotated lane,
+//! `PlatformBank` one with a live lane per platform, `TimingBank` one
+//! with N annotated lanes, and `CachePassSim` runs passes A and B alone.
 
 use std::sync::Arc;
 
@@ -39,6 +43,7 @@ use bioperf_trace::{
 
 use crate::config::PlatformConfig;
 use crate::regfile::RegFile;
+use crate::simulator::SimResult;
 
 /// Ring sizes; both bound the span of "active" cycles / values, which is
 /// limited by the ROB size times the largest latency.
@@ -101,29 +106,17 @@ struct ColCursors {
     sel: usize,
 }
 
-/// Pass A — register file, spill planning and ready-ring tags — plus the
-/// two merges that turn its spill plan and a block's filter columns into
-/// the access and branch streams every consumer reads.
+/// Pass A's output at one register-file capacity: the spill plan, its
+/// counters and the merged access stream that plan implies. Lanes of
+/// every platform with this capacity read the same view.
 #[derive(Debug, Clone)]
-pub(crate) struct RegPlan {
-    regs: RegFile,
-    /// Ready-ring tags: the resident vreg keyed by `vreg & mask`. The
-    /// untouched-slot sentinel `u64::MAX` is *observable* (an aliasing
-    /// `VReg(u64::MAX)` source reads as a computed value ready at cycle 0
-    /// — part of the documented ring contract the conformance reference
-    /// reproduces), so the tag stores the full vreg and the from-load flag
-    /// lives in its own array rather than a stolen tag bit.
-    ready_tag: Vec<u64>,
-    /// Whether each slot's resident value came straight from a load
-    /// (spill reloads of such values rematerialize: no store).
-    ready_from_load: Vec<bool>,
+pub(crate) struct SpillView {
+    capacity: usize,
     spill_stores: u64,
     spill_reloads: u64,
-    /// Per-op flag bytes (`SRC_RELOAD_*` per source position), operand
-    /// slots and destination slot of the current chunk.
+    /// Per-op flag bytes (`SRC_RELOAD_*` per source position) of the
+    /// current chunk.
     flags: Vec<u8>,
-    src: Vec<[u32; 3]>,
-    dst: Vec<u32>,
     /// Planned spill events in (op, source-position) order: `ci << 1 |
     /// computed`, with the spill-slot address.
     spill_ev: Vec<u32>,
@@ -132,110 +125,28 @@ pub(crate) struct RegPlan {
     /// access, with its address.
     acc: Vec<u32>,
     acc_addr: Vec<u64>,
-    /// The merged predictor-observation stream: `(ci, sid, taken)`.
-    branches: Vec<(u32, StaticId, bool)>,
 }
 
-impl RegPlan {
-    pub(crate) fn new(logical_regs: u32) -> Self {
+impl SpillView {
+    fn new(capacity: usize) -> Self {
         Self {
-            regs: RegFile::new(logical_regs),
-            ready_tag: vec![u64::MAX; READY_RING],
-            ready_from_load: vec![false; READY_RING],
+            capacity,
             spill_stores: 0,
             spill_reloads: 0,
             flags: Vec::new(),
-            src: Vec::new(),
-            dst: Vec::new(),
             spill_ev: Vec::new(),
             spill_addr: Vec::new(),
             acc: Vec::new(),
             acc_addr: Vec::new(),
-            branches: Vec::new(),
-        }
-    }
-
-    /// Pass A over ops `lo..hi` of `block`.
-    ///
-    /// Walks the block's register-event column — one entry per *present*
-    /// source or destination, in program order — so the loop never tests
-    /// an `Option` slot or touches a registerless op. The cursor is left
-    /// at the next chunk's first event.
-    ///
-    /// The spill model: a source whose value was evicted from the
-    /// architected register file and is reused generates real spill code
-    /// — a reload here, plus a store at its eviction if the value was
-    /// computed (a value that came straight from a load is
-    /// rematerialized by repeating the load). Values that die without a
-    /// post-eviction use generate none: the allocator keeps dead
-    /// intermediates out of the file.
-    pub(crate) fn plan_regs(&mut self, block: &OpBlock, lo: usize, hi: usize, ev: &mut usize) {
-        let n = hi - lo;
-        self.flags.clear();
-        self.flags.resize(n, 0);
-        self.src.clear();
-        self.src.resize(n, [ZERO_SLOT; 3]);
-        self.dst.clear();
-        self.dst.resize(n, SINK_SLOT);
-        self.spill_ev.clear();
-        self.spill_addr.clear();
-        let metas = block.reg_event_meta();
-        let vregs = block.reg_event_vreg();
-        // Flag bits live below the index field, so one shifted compare
-        // bounds the chunk.
-        let end = (hi as u32) << REG_EVENT_IDX_SHIFT;
-        while *ev < metas.len() {
-            let meta = metas[*ev];
-            if meta >= end {
-                break;
-            }
-            let v = vregs[*ev];
-            *ev += 1;
-            let ci = (meta >> REG_EVENT_IDX_SHIFT) as usize - lo;
-            let slot = (v as usize) & (READY_RING - 1);
-            if meta & REG_EVENT_DST != 0 {
-                self.ready_tag[slot] = v;
-                self.ready_from_load[slot] = meta & REG_EVENT_DST_LOAD != 0;
-                self.regs.insert(v);
-                self.dst[ci] = slot as u32;
-                continue;
-            }
-            if self.ready_tag[slot] != v {
-                // No recorded producer: reads as cycle 0 via ZERO_SLOT.
-                continue;
-            }
-            let pos = (meta & REG_EVENT_POS) as usize;
-            self.src[ci][pos] = slot as u32;
-            if !self.regs.touch(v) {
-                self.spill_reloads += 1;
-                let computed = !self.ready_from_load[slot];
-                if computed {
-                    self.spill_stores += 1;
-                    self.flags[ci] |= SRC_RELOAD_COMPUTED << (2 * pos);
-                } else {
-                    self.flags[ci] |= SRC_RELOAD_LOAD << (2 * pos);
-                }
-                self.spill_ev.push((ci as u32) << 1 | computed as u32);
-                self.spill_addr.push(SPILL_BASE + (v % SPILL_SLOTS) * 8);
-                // The reload rewrites the slot with the same tag and
-                // flag, so only the cycle (timing pass) changes.
-                self.regs.insert(v);
-            }
         }
     }
 
     /// The access merge for ops `lo..hi`, appended to the merged access
-    /// stream: pass A's spill plan interleaved with the pre-filtered
+    /// stream: this view's spill plan interleaved with the pre-filtered
     /// demand column. Spill slots live in the same hierarchy as demand
     /// accesses, and an op resolves operands (reloads) before it executes
     /// (its own access), so ties break toward the spill stream.
-    pub(crate) fn merge_accesses(
-        &mut self,
-        block: &OpBlock,
-        lo: usize,
-        hi: usize,
-        mem: &mut usize,
-    ) {
+    fn merge_accesses(&mut self, block: &OpBlock, lo: usize, hi: usize, mem: &mut usize) {
         let codes = block.kind_codes();
         let mem_idx = block.mem_idx();
         let mem_addrs = block.mem_addrs();
@@ -284,40 +195,33 @@ impl RegPlan {
             self.acc_addr.push(mem_addrs[e]);
         }
     }
+}
 
-    /// Empties the merged access stream.
-    pub(crate) fn clear_accesses(&mut self) {
-        self.acc.clear();
-        self.acc_addr.clear();
-    }
+/// The predictor-observation sequence of one if-conversion mode over the
+/// current chunk: `(ci, sid, taken)` in program order.
+#[derive(Debug, Clone)]
+pub(crate) struct BranchStream {
+    if_conversion: bool,
+    branches: Vec<(u32, StaticId, bool)>,
+    /// Observations so far (the `SimResult::branches` of its lanes).
+    count: u64,
+}
 
-    /// The merged access stream as parallel address / is-load columns
-    /// (the shape [`bioperf_cache::MissLevelBank::access_run`] takes).
-    pub(crate) fn access_columns(&self, loads: &mut Vec<bool>) -> &[u64] {
-        loads.clear();
-        loads.extend(self.acc.iter().map(|&a| a & ACC_TAG_MASK != ACC_STORE));
-        &self.acc_addr
-    }
-
-    /// The branch merge for ops `lo..hi`. Without if-conversion, selects
-    /// resolve through the same predictor as branches, so the two
-    /// columns merge back into program order; with it, selects stay ALU
-    /// ops and their cursor only steps past the chunk.
-    fn merge_branches(
-        &mut self,
-        block: &OpBlock,
-        lo: usize,
-        hi: usize,
-        if_conversion: bool,
-        cur: &mut ColCursors,
-    ) {
+impl BranchStream {
+    /// The branch merge for ops `lo..hi`, from the chunk-start cursors
+    /// `cur` (left at the next chunk's first entries). Without
+    /// if-conversion, selects resolve through the same predictor as
+    /// branches, so the two columns merge back into program order; with
+    /// it, selects stay ALU ops and their cursor only steps past the
+    /// chunk.
+    fn merge(&mut self, block: &OpBlock, lo: usize, hi: usize, cur: &mut ColCursors) {
         self.branches.clear();
         let end = hi as u32;
         let branch_idx = block.branch_idx();
         let branch_sids = block.branch_sids();
         let branch_taken = block.branch_taken();
         let select_idx = block.select_idx();
-        if if_conversion {
+        if self.if_conversion {
             while cur.br < branch_idx.len() && branch_idx[cur.br] < end {
                 let e = cur.br;
                 cur.br += 1;
@@ -326,44 +230,245 @@ impl RegPlan {
             while cur.sel < select_idx.len() && select_idx[cur.sel] < end {
                 cur.sel += 1;
             }
-            return;
+        } else {
+            let select_sids = block.select_sids();
+            let select_taken = block.select_taken();
+            loop {
+                let b = branch_idx.get(cur.br).copied().unwrap_or(u32::MAX);
+                let s = select_idx.get(cur.sel).copied().unwrap_or(u32::MAX);
+                let idx = b.min(s);
+                if idx >= end {
+                    break;
+                }
+                let (sid, taken) = if b < s {
+                    let e = cur.br;
+                    cur.br += 1;
+                    (branch_sids[e], branch_taken[e])
+                } else {
+                    let e = cur.sel;
+                    cur.sel += 1;
+                    (select_sids[e], select_taken[e])
+                };
+                self.branches.push((idx - lo as u32, sid, taken));
+            }
         }
-        let select_sids = block.select_sids();
-        let select_taken = block.select_taken();
-        loop {
-            let b = branch_idx.get(cur.br).copied().unwrap_or(u32::MAX);
-            let s = select_idx.get(cur.sel).copied().unwrap_or(u32::MAX);
-            let idx = b.min(s);
-            if idx >= end {
+        self.count += self.branches.len() as u64;
+    }
+}
+
+/// Pass A — one nested register file, spill planning and ready-ring tags
+/// — plus the merges that turn its spill plans and a block's filter
+/// columns into the access and branch streams every consumer reads.
+///
+/// Ready-ring tags, from-load flags and operand/destination slots depend
+/// only on the trace, so they are computed once per chunk. What depends
+/// on the register-file capacity — reload flags, spill events, spill
+/// counters and the merged access stream — is kept once per distinct
+/// capacity (a [`SpillView`]), all fed by one nested [`RegFile`]: an
+/// operand that misses `m` capacities spills in the first `m` views.
+/// The branch merge runs once per if-conversion mode present.
+#[derive(Debug, Clone)]
+pub(crate) struct RegPlan {
+    regs: RegFile,
+    /// Ready-ring tags: the resident vreg keyed by `vreg & mask`. The
+    /// untouched-slot sentinel `u64::MAX` is *observable* (an aliasing
+    /// `VReg(u64::MAX)` source reads as a computed value ready at cycle 0
+    /// — part of the documented ring contract the conformance reference
+    /// reproduces), so the tag stores the full vreg and the from-load flag
+    /// lives in its own array rather than a stolen tag bit.
+    ready_tag: Vec<u64>,
+    /// Whether each slot's resident value came straight from a load
+    /// (spill reloads of such values rematerialize: no store).
+    ready_from_load: Vec<bool>,
+    /// Operand slots and destination slot of each op of the current
+    /// chunk.
+    src: Vec<[u32; 3]>,
+    dst: Vec<u32>,
+    /// One view per capacity, in `regs.capacities()` order.
+    views: Vec<SpillView>,
+    /// One stream per if-conversion mode a lane uses.
+    streams: Vec<BranchStream>,
+}
+
+impl RegPlan {
+    /// A plan answering each register-file capacity in `capacities`.
+    pub(crate) fn new(capacities: &[usize]) -> Self {
+        let regs = RegFile::nested(capacities);
+        let views = regs.capacities().iter().map(|&c| SpillView::new(c)).collect();
+        Self {
+            regs,
+            ready_tag: vec![u64::MAX; READY_RING],
+            ready_from_load: vec![false; READY_RING],
+            src: Vec::new(),
+            dst: Vec::new(),
+            views,
+            streams: Vec::new(),
+        }
+    }
+
+    /// The view planning `capacity`.
+    ///
+    /// # Panics
+    ///
+    /// If the plan was not built with that capacity.
+    fn view_of(&self, capacity: usize) -> usize {
+        self.views
+            .iter()
+            .position(|v| v.capacity == capacity)
+            .expect("the plan covers every lane's register capacity")
+    }
+
+    /// The branch stream of `if_conversion`, added if new.
+    fn stream_of(&mut self, if_conversion: bool) -> usize {
+        self.streams.iter().position(|s| s.if_conversion == if_conversion).unwrap_or_else(|| {
+            self.streams.push(BranchStream { if_conversion, branches: Vec::new(), count: 0 });
+            self.streams.len() - 1
+        })
+    }
+
+    /// Pass A over ops `lo..hi` of `block`.
+    ///
+    /// Walks the block's register-event column — one entry per *present*
+    /// source or destination, in program order — so the loop never tests
+    /// an `Option` slot or touches a registerless op. The cursor is left
+    /// at the next chunk's first event.
+    ///
+    /// The spill model: a source whose value was evicted from the
+    /// architected register file and is reused generates real spill code
+    /// — a reload here, plus a store at its eviction if the value was
+    /// computed (a value that came straight from a load is
+    /// rematerialized by repeating the load). Values that die without a
+    /// post-eviction use generate none: the allocator keeps dead
+    /// intermediates out of the file.
+    pub(crate) fn plan_regs(&mut self, block: &OpBlock, lo: usize, hi: usize, ev: &mut usize) {
+        let n = hi - lo;
+        for view in &mut self.views {
+            view.flags.clear();
+            view.flags.resize(n, 0);
+            view.spill_ev.clear();
+            view.spill_addr.clear();
+        }
+        self.src.clear();
+        self.src.resize(n, [ZERO_SLOT; 3]);
+        self.dst.clear();
+        self.dst.resize(n, SINK_SLOT);
+        let metas = block.reg_event_meta();
+        let vregs = block.reg_event_vreg();
+        // Flag bits live below the index field, so one shifted compare
+        // bounds the chunk.
+        let end = (hi as u32) << REG_EVENT_IDX_SHIFT;
+        while *ev < metas.len() {
+            let meta = metas[*ev];
+            if meta >= end {
                 break;
             }
-            let (sid, taken) = if b < s {
-                let e = cur.br;
-                cur.br += 1;
-                (branch_sids[e], branch_taken[e])
-            } else {
-                let e = cur.sel;
-                cur.sel += 1;
-                (select_sids[e], select_taken[e])
-            };
-            self.branches.push((idx - lo as u32, sid, taken));
+            let v = vregs[*ev];
+            *ev += 1;
+            let ci = (meta >> REG_EVENT_IDX_SHIFT) as usize - lo;
+            let slot = (v as usize) & (READY_RING - 1);
+            if meta & REG_EVENT_DST != 0 {
+                self.ready_tag[slot] = v;
+                self.ready_from_load[slot] = meta & REG_EVENT_DST_LOAD != 0;
+                self.regs.access(v);
+                self.dst[ci] = slot as u32;
+                continue;
+            }
+            if self.ready_tag[slot] != v {
+                // No recorded producer: reads as cycle 0 via ZERO_SLOT.
+                continue;
+            }
+            let pos = (meta & REG_EVENT_POS) as usize;
+            self.src[ci][pos] = slot as u32;
+            // The access reloads `v` wherever it missed (and, by LRU
+            // inclusion, it missed exactly the smallest `misses`
+            // capacities). The reload rewrites the ring slot with the
+            // same tag and flag, so only the cycle (timing pass) changes.
+            let misses = self.regs.access(v);
+            if misses == 0 {
+                continue;
+            }
+            let computed = !self.ready_from_load[slot];
+            let flag = if computed { SRC_RELOAD_COMPUTED } else { SRC_RELOAD_LOAD } << (2 * pos);
+            let event = (ci as u32) << 1 | computed as u32;
+            let addr = SPILL_BASE + (v % SPILL_SLOTS) * 8;
+            for view in &mut self.views[..misses] {
+                view.spill_reloads += 1;
+                view.spill_stores += computed as u64;
+                view.flags[ci] |= flag;
+                view.spill_ev.push(event);
+                view.spill_addr.push(addr);
+            }
+        }
+    }
+
+    /// Every view's access merge for ops `lo..hi` (see
+    /// [`SpillView::merge_accesses`]); `mem` is the chunk's first demand
+    /// entry and is left at the next chunk's.
+    pub(crate) fn merge_accesses(
+        &mut self,
+        block: &OpBlock,
+        lo: usize,
+        hi: usize,
+        mem: &mut usize,
+    ) {
+        let start = *mem;
+        for view in &mut self.views {
+            *mem = start;
+            view.merge_accesses(block, lo, hi, mem);
+        }
+    }
+
+    /// Empties every view's merged access stream.
+    pub(crate) fn clear_accesses(&mut self) {
+        for view in &mut self.views {
+            view.acc.clear();
+            view.acc_addr.clear();
+        }
+    }
+
+    /// The first view's merged access stream as parallel address /
+    /// is-load columns (the shape
+    /// [`bioperf_cache::MissLevelBank::access_run`] takes).
+    pub(crate) fn access_columns(&self, loads: &mut Vec<bool>) -> &[u64] {
+        let view = &self.views[0];
+        loads.clear();
+        loads.extend(view.acc.iter().map(|&a| a & ACC_TAG_MASK != ACC_STORE));
+        &view.acc_addr
+    }
+
+    /// Every branch stream's merge for ops `lo..hi`, from the chunk-start
+    /// cursors `cur` (left at the next chunk's).
+    fn merge_branches(&mut self, block: &OpBlock, lo: usize, hi: usize, cur: &mut ColCursors) {
+        let start = *cur;
+        for stream in &mut self.streams {
+            *cur = start;
+            stream.merge(block, lo, hi, cur);
         }
     }
 }
 
-/// One predictor and what it decided over the current chunk.
+/// One predictor over one branch stream, and what it decided over the
+/// current chunk.
 #[derive(Debug, Clone)]
 pub(crate) struct Family {
+    /// Index of the [`BranchStream`] it observes.
+    pub(crate) stream: usize,
     pub(crate) kind: PredictorKind,
     predictor: DynPredictor,
-    pub(crate) mispredicts: u64,
+    mispredicts: u64,
     /// Chunk-relative indices of this chunk's mispredicted branches.
     redirects: Vec<u32>,
 }
 
 impl Family {
-    pub(crate) fn new(kind: PredictorKind) -> Self {
-        Self { kind, predictor: DynPredictor::new(kind), mispredicts: 0, redirects: Vec::new() }
+    pub(crate) fn new(stream: usize, kind: PredictorKind) -> Self {
+        Self {
+            stream,
+            kind,
+            predictor: DynPredictor::new(kind),
+            mispredicts: 0,
+            redirects: Vec::new(),
+        }
     }
 
     fn observe(&mut self, branches: &[(u32, StaticId, bool)]) {
@@ -396,6 +501,28 @@ pub(crate) trait Observe {
 impl Observe for () {
     #[inline(always)]
     fn record(&mut self, _: &[MicroOp], _: usize, _: u64, _: u64, _: u64, _: bool) {}
+}
+
+/// The per-lane hooks of one engine run: `()` observes no lane, a slice
+/// holds one [`Observe`] per lane.
+pub(crate) trait Observers {
+    type Lane: Observe;
+    fn lane(&mut self, i: usize) -> &mut Self::Lane;
+}
+
+impl Observers for () {
+    type Lane = ();
+    #[inline(always)]
+    fn lane(&mut self, _: usize) -> &mut () {
+        self
+    }
+}
+
+impl<O: Observe> Observers for [O] {
+    type Lane = O;
+    fn lane(&mut self, i: usize) -> &mut O {
+        &mut self[i]
+    }
 }
 
 /// The serial scheduling core: front end, issue ring, ready cycles, ROB.
@@ -486,12 +613,15 @@ impl TimingCore {
         self.fetch_cycle
     }
 
-    /// Schedules one planned chunk: `lat` holds each op's completion
-    /// latency, `spill_lat` the chunk's reload latencies in plan order,
-    /// `redirects` the chunk-relative indices of mispredicted branches.
+    /// Schedules one planned chunk: `flags` holds each op's reload flags
+    /// at this lane's capacity, `lat` each op's completion latency,
+    /// `spill_lat` the chunk's reload latencies in plan order, `redirects`
+    /// the chunk-relative indices of mispredicted branches.
+    #[allow(clippy::too_many_arguments)] // shared plan columns and lane scratch, borrowed apart
     fn run_chunk<const IN_ORDER: bool, O: Observe>(
         &mut self,
         plan: &RegPlan,
+        flags: &[u8],
         lat: &[u32],
         spill_lat: &[u32],
         redirects: &[u32],
@@ -501,7 +631,7 @@ impl TimingCore {
         let mut spill_idx = 0usize;
         let mut redirects = redirects.iter();
         let mut next_redirect = redirects.next().map_or(usize::MAX, |&r| r as usize);
-        for (i, (&flags, &slots)) in plan.flags.iter().zip(&plan.src).enumerate() {
+        for (i, (&flags, &slots)) in flags.iter().zip(&plan.src).enumerate() {
             let dispatch = self.dispatch();
             let operands = if flags == 0 {
                 // Common case: three unconditional ring reads (absent
@@ -604,8 +734,11 @@ pub(crate) struct Lane {
     lat_lut: [u32; 12],
     fp_load_extra: u64,
     spill_forward_extra: u64,
-    /// Index of this lane's predictor [`Family`] in its engine.
+    /// Index of this lane's predictor [`Family`] (and through it, its
+    /// branch stream) in its engine.
     pub(crate) family: usize,
+    /// Index of this lane's register-capacity [`SpillView`].
+    pub(crate) view: usize,
     // Per-chunk scratch: completion latencies, reload latencies.
     lat: Vec<u32>,
     spill_lat: Vec<u32>,
@@ -613,11 +746,12 @@ pub(crate) struct Lane {
 
 impl Lane {
     /// A lane for `cfg` over a live copy of its hierarchy, or over
-    /// `stream` when given.
+    /// `stream` when given, reading predictor `family` and spill `view`.
     pub(crate) fn new(
         cfg: &PlatformConfig,
         stream: Option<Arc<AnnotationStream>>,
         family: usize,
+        view: usize,
     ) -> Self {
         let mut lat_lut = [1u32; 12];
         for kind in OpKind::ALL {
@@ -652,6 +786,7 @@ impl Lane {
             fp_load_extra: cfg.fp_load_latency.saturating_sub(cfg.int_load_latency),
             spill_forward_extra: cfg.spill_forward_extra,
             family,
+            view,
             lat: Vec::new(),
             spill_lat: Vec::new(),
         }
@@ -696,16 +831,18 @@ impl Lane {
         self.core.max_completion.max(self.core.fetch_cycle)
     }
 
-    /// Fills the chunk's latencies from the plan, presenting the merged
-    /// access stream to this lane's source, then schedules the chunk.
+    /// Fills the chunk's latencies from the plan, presenting its view's
+    /// merged access stream to this lane's source, then schedules the
+    /// chunk.
     fn run<O: Observe>(
         &mut self,
         codes: &[u8],
         plan: &RegPlan,
-        redirects: &[u32],
+        family: &Family,
         ops: &[MicroOp],
         obs: &mut O,
     ) {
+        let view = &plan.views[self.view];
         self.lat.clear();
         self.lat.extend(codes.iter().map(|&c| self.lat_lut[c as usize]));
         self.spill_lat.clear();
@@ -713,12 +850,12 @@ impl Lane {
         let (fp_extra, forward_extra) = (self.fp_load_extra, self.spill_forward_extra);
         match &mut self.source {
             MissSource::Live(h) => {
-                apply_accesses(plan, lat, spill_lat, fp_extra, forward_extra, |addr, store| {
+                apply_accesses(view, lat, spill_lat, fp_extra, forward_extra, |addr, store| {
                     h.access(addr, if store { AccessKind::Store } else { AccessKind::Load })
                 })
             }
             MissSource::Annotated { stream, pos, lat: level_lat } => {
-                apply_accesses(plan, lat, spill_lat, fp_extra, forward_extra, |_, _| {
+                apply_accesses(view, lat, spill_lat, fp_extra, forward_extra, |_, _| {
                     let code = stream.code(*pos);
                     *pos += 1;
                     level_lat[code as usize]
@@ -726,30 +863,32 @@ impl Lane {
             }
         }
         // Branches (and branch-realized selects) resolve in one cycle.
-        for &(ci, _, _) in &plan.branches {
+        for &(ci, _, _) in &plan.streams[family.stream].branches {
             self.lat[ci as usize] = 1;
         }
+        let (flags, lat, spill, redirects) =
+            (&view.flags, &self.lat, &self.spill_lat, &family.redirects);
         if self.core.in_order {
-            self.core.run_chunk::<true, O>(plan, &self.lat, &self.spill_lat, redirects, ops, obs);
+            self.core.run_chunk::<true, O>(plan, flags, lat, spill, redirects, ops, obs);
         } else {
-            self.core.run_chunk::<false, O>(plan, &self.lat, &self.spill_lat, redirects, ops, obs);
+            self.core.run_chunk::<false, O>(plan, flags, lat, spill, redirects, ops, obs);
         }
     }
 }
 
-/// Presents the merged access stream to one source (`access(addr,
+/// Presents a view's merged access stream to one source (`access(addr,
 /// is_store)` returns the access latency) and scatters the latencies
 /// into the chunk plan.
 #[inline(always)]
 fn apply_accesses(
-    plan: &RegPlan,
+    view: &SpillView,
     lat: &mut [u32],
     spill_lat: &mut Vec<u32>,
     fp_load_extra: u64,
     spill_forward_extra: u64,
     mut access: impl FnMut(u64, bool) -> u64,
 ) {
-    for (&ev, &addr) in plan.acc.iter().zip(&plan.acc_addr) {
+    for (&ev, &addr) in view.acc.iter().zip(&view.acc_addr) {
         let ci = (ev >> ACC_TAG_BITS) as usize;
         let tag = ev & ACC_TAG_MASK;
         let l = access(addr, tag == ACC_STORE);
@@ -763,40 +902,73 @@ fn apply_accesses(
     }
 }
 
-/// A shared front (one [`RegPlan`], its predictor families) driving a
-/// set of lanes over the same trace.
+/// A shared front — one [`RegPlan`] with a view per register capacity
+/// and a branch stream per if-conversion mode, and one predictor
+/// [`Family`] per (stream, kind) — driving a set of lanes, of any
+/// platform mix, over the same trace.
 #[derive(Debug, Clone)]
 pub(crate) struct Engine {
     plan: RegPlan,
-    if_conversion: bool,
     pub(crate) families: Vec<Family>,
     pub(crate) lanes: Vec<Lane>,
-    pub(crate) instructions: u64,
-    pub(crate) branches: u64,
+    instructions: u64,
 }
 
 impl Engine {
-    pub(crate) fn new(logical_regs: u32, if_conversion: bool) -> Self {
-        Self {
-            plan: RegPlan::new(logical_regs),
-            if_conversion,
-            families: Vec::new(),
-            lanes: Vec::new(),
-            instructions: 0,
-            branches: 0,
+    /// An engine without lanes whose plan covers every register-file
+    /// capacity in `capacities`.
+    pub(crate) fn new(capacities: &[usize]) -> Self {
+        Self { plan: RegPlan::new(capacities), families: Vec::new(), lanes: Vec::new(), instructions: 0 }
+    }
+
+    /// Adds a lane for `cfg` — over a live copy of its hierarchy, or over
+    /// `stream` when given — sharing the view of its register capacity,
+    /// the branch stream of its if-conversion mode and the predictor
+    /// family of (that stream, `pred`) with every lane already there.
+    ///
+    /// # Panics
+    ///
+    /// After replay has started, or if the plan does not cover `cfg`'s
+    /// register capacity.
+    pub(crate) fn push_lane(
+        &mut self,
+        cfg: &PlatformConfig,
+        stream: Option<Arc<AnnotationStream>>,
+        pred: PredictorKind,
+    ) {
+        assert_eq!(self.instructions, 0, "lanes join before replay starts");
+        let view = self.plan.view_of(RegFile::capacity_for(cfg.logical_regs));
+        let branches = self.plan.stream_of(cfg.if_conversion);
+        let families = &mut self.families;
+        let family =
+            families.iter().position(|f| f.stream == branches && f.kind == pred).unwrap_or_else(|| {
+                families.push(Family::new(branches, pred));
+                families.len() - 1
+            });
+        self.lanes.push(Lane::new(cfg, stream, family, view));
+    }
+
+    /// Lane `i`'s result so far: its own cycles and cache statistics, and
+    /// the branch, mispredict and spill counts of the stream, family and
+    /// view it reads.
+    pub(crate) fn result(&self, i: usize) -> SimResult {
+        let lane = &self.lanes[i];
+        let family = &self.families[lane.family];
+        let view = &self.plan.views[lane.view];
+        SimResult {
+            cycles: lane.cycles(),
+            instructions: self.instructions,
+            branches: self.plan.streams[family.stream].count,
+            mispredicts: family.mispredicts,
+            spill_stores: view.spill_stores,
+            spill_reloads: view.spill_reloads,
+            cache: lane.cache_stats(),
         }
     }
 
-    pub(crate) fn spill_stores(&self) -> u64 {
-        self.plan.spill_stores
-    }
-
-    pub(crate) fn spill_reloads(&self) -> u64 {
-        self.plan.spill_reloads
-    }
-
-    /// Replays one decoded block through every lane.
-    pub(crate) fn run_block<O: Observe>(&mut self, block: &OpBlock, obs: &mut O) {
+    /// Replays one decoded block through every lane, lane `i` reporting
+    /// to `obs.lane(i)`.
+    pub(crate) fn run_block<S: Observers + ?Sized>(&mut self, block: &OpBlock, obs: &mut S) {
         let n = block.len();
         let mut cur = ColCursors::default();
         let mut lo = 0;
@@ -806,16 +978,14 @@ impl Engine {
             self.plan.plan_regs(block, lo, hi, &mut cur.ev);
             self.plan.clear_accesses();
             self.plan.merge_accesses(block, lo, hi, &mut cur.mem);
-            self.plan.merge_branches(block, lo, hi, self.if_conversion, &mut cur);
-            self.branches += self.plan.branches.len() as u64;
+            self.plan.merge_branches(block, lo, hi, &mut cur);
             for family in &mut self.families {
-                family.observe(&self.plan.branches);
+                family.observe(&self.plan.streams[family.stream].branches);
             }
             let codes = &block.kind_codes()[lo..hi];
             let ops = &block.ops()[lo..hi];
-            for lane in &mut self.lanes {
-                let redirects = &self.families[lane.family].redirects;
-                lane.run(codes, &self.plan, redirects, ops, obs);
+            for (i, lane) in self.lanes.iter_mut().enumerate() {
+                lane.run(codes, &self.plan, &self.families[lane.family], ops, obs.lane(i));
             }
             lo = hi;
         }

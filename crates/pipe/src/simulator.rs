@@ -8,6 +8,7 @@ use bioperf_trace::{OpBlock, TraceConsumer};
 
 use crate::config::PlatformConfig;
 use crate::engine::{Engine, Family, Lane, Observe};
+use crate::regfile::RegFile;
 
 /// Results of simulating one trace on one platform.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -70,11 +71,11 @@ pub struct OpTiming {
 /// debugging, not full runs.
 const TIMELINE_CAP: usize = 65_536;
 
-/// The instrumented run's per-op hook: the timeline and the pipeline's
-/// event metrics. Event metrics accumulate into dedicated fields — not a
-/// name-keyed set — so the per-op cost when enabled is two histogram
-/// bumps, not two string lookups; [`CycleSim::take_metrics`] publishes
-/// them under their names.
+/// The instrumented run's per-op hook of one lane: the timeline and the
+/// pipeline's event metrics. Event metrics accumulate into dedicated
+/// fields — not a name-keyed set — so the per-op cost when enabled is
+/// two histogram bumps, not two string lookups;
+/// [`Instruments::take_metrics`] publishes them under their names.
 #[derive(Debug, Clone, Default)]
 struct Instruments {
     timeline: Option<Vec<OpTiming>>,
@@ -85,14 +86,45 @@ struct Instruments {
 }
 
 impl Instruments {
-    /// Runs `block`, through the observed loop only when something is
-    /// recorded.
-    fn run(&mut self, engine: &mut Engine, block: &OpBlock) {
-        if self.metrics || self.timeline.is_some() {
-            engine.run_block(block, self);
-        } else {
-            engine.run_block(block, &mut ());
+    fn observed(&self) -> bool {
+        self.metrics || self.timeline.is_some()
+    }
+
+    /// Takes the lane's collected event metrics — pipeline events under
+    /// `pipe/`, its hierarchy's under `cache/` — leaving collection in its
+    /// current mode. Empty when collection is off.
+    fn take_metrics(&mut self, lane: &mut Lane) -> MetricSet {
+        let mut pipe = MetricSet::new();
+        // Names appear only once touched, matching the lazily-created
+        // slots of the name-keyed path this replaced.
+        if self.op_latency.count() > 0 {
+            pipe.histogram_merge("op_latency_cycles", &self.op_latency);
         }
+        if self.issue_delay.count() > 0 {
+            pipe.histogram_merge("issue_delay_cycles", &self.issue_delay);
+        }
+        if self.redirects > 0 {
+            pipe.counter_add("mispredict_redirects", self.redirects);
+        }
+        self.op_latency = LogHistogram::new();
+        self.issue_delay = LogHistogram::new();
+        self.redirects = 0;
+        let mut out = MetricSet::new();
+        out.merge_prefixed("pipe/", &pipe);
+        if let Some(h) = lane.hierarchy_mut() {
+            out.merge_prefixed("cache/", &h.take_metrics());
+        }
+        out
+    }
+}
+
+/// Runs `block` through `engine`, through the observed loop only when
+/// some lane records something.
+fn run_instrumented(engine: &mut Engine, instruments: &mut [Instruments], block: &OpBlock) {
+    if instruments.iter().any(Instruments::observed) {
+        engine.run_block(block, instruments);
+    } else {
+        engine.run_block(block, &mut ());
     }
 }
 
@@ -139,9 +171,8 @@ pub struct CycleSim {
 impl CycleSim {
     /// Creates a simulator for one platform.
     pub fn new(cfg: PlatformConfig) -> Self {
-        let mut engine = Engine::new(cfg.logical_regs, cfg.if_conversion);
-        engine.families.push(Family::new(PredictorKind::Hybrid));
-        engine.lanes.push(Lane::new(&cfg, None, 0));
+        let mut engine = Engine::new(&[RegFile::capacity_for(cfg.logical_regs)]);
+        engine.push_lane(&cfg, None, PredictorKind::Hybrid);
         Self { cfg, engine, instruments: Instruments::default(), one: OpBlock::default() }
     }
 
@@ -168,28 +199,7 @@ impl CycleSim {
     /// cache events under `cache/` — leaving collection in its current
     /// mode. Empty when collection is off.
     pub fn take_metrics(&mut self) -> MetricSet {
-        let ins = &mut self.instruments;
-        let mut pipe = MetricSet::new();
-        // Names appear only once touched, matching the lazily-created
-        // slots of the name-keyed path this replaced.
-        if ins.op_latency.count() > 0 {
-            pipe.histogram_merge("op_latency_cycles", &ins.op_latency);
-        }
-        if ins.issue_delay.count() > 0 {
-            pipe.histogram_merge("issue_delay_cycles", &ins.issue_delay);
-        }
-        if ins.redirects > 0 {
-            pipe.counter_add("mispredict_redirects", ins.redirects);
-        }
-        ins.op_latency = LogHistogram::new();
-        ins.issue_delay = LogHistogram::new();
-        ins.redirects = 0;
-        let mut out = MetricSet::new();
-        out.merge_prefixed("pipe/", &pipe);
-        if let Some(h) = self.engine.lanes[0].hierarchy_mut() {
-            out.merge_prefixed("cache/", &h.take_metrics());
-        }
-        out
+        self.instruments.take_metrics(&mut self.engine.lanes[0])
     }
 
     /// Swaps in a branch predictor of the given family. The default is
@@ -197,7 +207,8 @@ impl CycleSim {
     /// ([`PredictorKind::Hybrid`]); design-space sweep cells select other
     /// families per configuration.
     pub fn with_predictor(mut self, kind: PredictorKind) -> Self {
-        self.engine.families[0] = Family::new(kind);
+        let family = &mut self.engine.families[self.engine.lanes[0].family];
+        *family = Family::new(family.stream, kind);
         self
     }
 
@@ -216,11 +227,11 @@ impl CycleSim {
     /// latencies. `SimResult::cache` stays zeroed in this mode: the cache
     /// pass that produced the stream owns the stats.
     pub fn with_annotations(
-        mut self,
+        self,
         stream: std::sync::Arc<bioperf_cache::AnnotationStream>,
     ) -> Self {
-        self.engine.lanes[0] = Lane::new(&self.cfg, Some(stream), 0);
-        self
+        let cfg = self.cfg;
+        self.map_lane(|lane| Lane::new(&cfg, Some(stream), lane.family, lane.view))
     }
 
     /// Annotations consumed so far (None outside annotated mode).
@@ -252,16 +263,7 @@ impl CycleSim {
 
     /// Running result snapshot (cheap; caches copied).
     pub fn result(&self) -> SimResult {
-        let e = &self.engine;
-        SimResult {
-            cycles: self.lane().cycles(),
-            instructions: e.instructions,
-            branches: e.branches,
-            mispredicts: e.families[0].mispredicts,
-            spill_stores: e.spill_stores(),
-            spill_reloads: e.spill_reloads(),
-            cache: self.lane().cache_stats(),
-        }
+        self.engine.result(0)
     }
 }
 
@@ -269,11 +271,96 @@ impl TraceConsumer for CycleSim {
     fn consume(&mut self, op: &MicroOp, _program: &Program) {
         self.one.clear();
         self.one.push_op(op);
-        self.instruments.run(&mut self.engine, &self.one);
+        run_instrumented(&mut self.engine, std::slice::from_mut(&mut self.instruments), &self.one);
     }
 
     fn consume_block(&mut self, block: &OpBlock, _program: &Program) {
-        self.instruments.run(&mut self.engine, block);
+        run_instrumented(&mut self.engine, std::slice::from_mut(&mut self.instruments), block);
+    }
+}
+
+/// The live-hierarchy [`CycleSim`]s of several platforms replayed as one
+/// engine: one register plan with a spill view per distinct register
+/// capacity, one branch merge per if-conversion mode and one hybrid
+/// predictor per branch stream serve every platform, and only each
+/// platform's cache hierarchy and timing core run per lane — the suite's
+/// replay bank.
+///
+/// Each platform's [`SimResult`] and event metrics are bit-identical to
+/// an independent `CycleSim::new(platform)` (with
+/// [`CycleSim::with_metrics`] when [`PlatformBank::with_metrics`] is
+/// set) replaying the same trace.
+#[derive(Debug, Clone)]
+pub struct PlatformBank {
+    engine: Engine,
+    /// One per lane, in platform order.
+    instruments: Vec<Instruments>,
+    /// Reused block of the per-op path, which runs each op as a block.
+    one: OpBlock,
+}
+
+impl PlatformBank {
+    /// A bank of one lane per platform, in the given order (platforms
+    /// may repeat).
+    ///
+    /// # Panics
+    ///
+    /// If `platforms` is empty.
+    pub fn new(platforms: &[PlatformConfig]) -> Self {
+        assert!(!platforms.is_empty(), "a platform bank needs a platform");
+        let capacities: Vec<usize> =
+            platforms.iter().map(|p| RegFile::capacity_for(p.logical_regs)).collect();
+        let mut engine = Engine::new(&capacities);
+        for p in platforms {
+            engine.push_lane(p, None, PredictorKind::Hybrid);
+        }
+        let instruments = vec![Instruments::default(); platforms.len()];
+        Self { engine, instruments, one: OpBlock::default() }
+    }
+
+    /// Switches on every lane's event-metric collection (see
+    /// [`CycleSim::with_metrics`]).
+    pub fn with_metrics(mut self) -> Self {
+        for ins in &mut self.instruments {
+            ins.metrics = true;
+        }
+        let lanes = std::mem::take(&mut self.engine.lanes);
+        self.engine.lanes = lanes.into_iter().map(|l| l.map_hierarchy(|h| h.with_metrics())).collect();
+        self
+    }
+
+    /// Lanes in the bank.
+    pub fn len(&self) -> usize {
+        self.engine.lanes.len()
+    }
+
+    /// Whether the bank has no lanes.
+    pub fn is_empty(&self) -> bool {
+        self.engine.lanes.is_empty()
+    }
+
+    /// Takes each lane's collected event metrics, in platform order (see
+    /// [`CycleSim::take_metrics`]).
+    pub fn take_metrics(&mut self) -> Vec<MetricSet> {
+        let lanes = self.engine.lanes.iter_mut();
+        self.instruments.iter_mut().zip(lanes).map(|(ins, lane)| ins.take_metrics(lane)).collect()
+    }
+
+    /// Running per-lane results, in platform order.
+    pub fn results(&self) -> Vec<SimResult> {
+        (0..self.len()).map(|i| self.engine.result(i)).collect()
+    }
+}
+
+impl TraceConsumer for PlatformBank {
+    fn consume(&mut self, op: &MicroOp, _program: &Program) {
+        self.one.clear();
+        self.one.push_op(op);
+        run_instrumented(&mut self.engine, &mut self.instruments, &self.one);
+    }
+
+    fn consume_block(&mut self, block: &OpBlock, _program: &Program) {
+        run_instrumented(&mut self.engine, &mut self.instruments, block);
     }
 }
 
@@ -536,7 +623,7 @@ mod tests {
         let (program, rec) = tape.finish();
         let recording = rec.into_recording(program.clone());
         for cfg in PlatformConfig::all() {
-            let mut live = CycleSim::new(cfg.clone());
+            let mut live = CycleSim::new(cfg);
             recording.replay_bank(std::slice::from_mut(&mut live));
             let reference = live.into_result();
 
@@ -545,7 +632,7 @@ mod tests {
             let (_, stream) = pass.finish_bank().pop().expect("one member");
             let stream = std::sync::Arc::new(stream);
 
-            let mut blocked = CycleSim::new(cfg.clone()).with_annotations(stream.clone());
+            let mut blocked = CycleSim::new(cfg).with_annotations(stream.clone());
             recording.replay_bank(std::slice::from_mut(&mut blocked));
             assert_eq!(blocked.annotations_consumed(), Some(stream.len()), "{}", cfg.name);
             let got = blocked.into_result();
@@ -563,12 +650,77 @@ mod tests {
                 cfg.name
             );
 
-            let mut per_op = CycleSim::new(cfg.clone()).with_annotations(stream.clone());
+            let mut per_op = CycleSim::new(cfg).with_annotations(stream.clone());
             for op in recording.iter() {
                 per_op.consume(&op, &program);
             }
             assert_eq!(per_op.into_result().cycles, reference.cycles, "{} per-op", cfg.name);
         }
+    }
+
+    /// The shared-front bank equals independent `CycleSim`s — results
+    /// and, with metrics on, every lane's event set — for every subset
+    /// of the four platforms (so every mix of register capacities and
+    /// if-conversion modes) at every block size.
+    #[test]
+    fn platform_bank_matches_independent_cyclesims() {
+        use bioperf_trace::Recorder;
+        let mut tape = Tape::new(Recorder::new());
+        let xs: Vec<u64> = (0..512).map(|i| i * 7).collect();
+        let mut state = 0xBA5E_BA11u64;
+        let mut rand_bit = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 40) & 1 == 1
+        };
+        for r in 0..300usize {
+            // Live temporaries past the Pentium 4's and (every few rounds)
+            // the Alpha's file, so each capacity spills differently.
+            let live = if r % 5 == 0 { 40 } else { 10 };
+            let temps: Vec<_> =
+                (0..live).map(|i| tape.int_load(here!("b"), &xs[(r * 3 + i) % 512])).collect();
+            let mut acc = tape.lit();
+            for v in &temps {
+                acc = tape.int_op(here!("b"), &[acc, *v]);
+            }
+            let sel = tape.select(here!("b"), &[acc], rand_bit());
+            tape.branch(here!("b"), &[sel], rand_bit());
+            let f = tape.fp_load(here!("b"), &xs[r % 512]);
+            let g = tape.fp_op(here!("b"), &[f, temps[0]]);
+            tape.fp_store(here!("b"), &xs[(r * 11) % 512], g);
+        }
+        let (_, rec) = tape.finish();
+        let recording = rec.into_recording(bioperf_isa::Program::new());
+        let all = PlatformConfig::all();
+        let mut spills = Vec::new();
+        for mask in 1u32..16 {
+            let platforms: Vec<PlatformConfig> =
+                (0..4).filter(|i| mask & (1 << i) != 0).map(|i| all[i]).collect();
+            for metrics in [false, true] {
+                let solo: Vec<(SimResult, MetricSet)> = platforms
+                    .iter()
+                    .map(|&p| {
+                        let sim = CycleSim::new(p);
+                        let mut sim = if metrics { sim.with_metrics() } else { sim };
+                        recording.replay(&mut sim);
+                        (sim.result(), sim.take_metrics())
+                    })
+                    .collect();
+                assert!(solo.iter().all(|(_, m)| m.is_empty() != metrics), "events iff metrics");
+                spills.extend(solo.iter().map(|(r, _)| r.spill_reloads));
+                for block_ops in [1usize, 3, 64, 4096] {
+                    let bank = PlatformBank::new(&platforms);
+                    let mut bank = if metrics { bank.with_metrics() } else { bank };
+                    recording.replay_bank_blocks(std::slice::from_mut(&mut bank), block_ops);
+                    let events = bank.take_metrics();
+                    let got: Vec<(SimResult, MetricSet)> =
+                        bank.results().into_iter().zip(events).collect();
+                    assert_eq!(got, solo, "platform mask {mask:04b}, metrics {metrics}, {block_ops}-op blocks");
+                }
+            }
+        }
+        spills.sort_unstable();
+        spills.dedup();
+        assert!(spills.len() >= 3, "capacities must spill differently: {spills:?}");
     }
 
     #[test]

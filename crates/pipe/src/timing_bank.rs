@@ -23,7 +23,8 @@ use bioperf_isa::{MicroOp, Program};
 use bioperf_trace::{OpBlock, TraceConsumer};
 
 use crate::config::PlatformConfig;
-use crate::engine::{Engine, Family, Lane};
+use crate::engine::Engine;
+use crate::regfile::RegFile;
 use crate::simulator::SimResult;
 
 /// Replays a trace once through a bank of annotated timing
@@ -51,7 +52,7 @@ impl TimingBank {
         Self {
             logical_regs,
             if_conversion,
-            engine: Engine::new(logical_regs, if_conversion),
+            engine: Engine::new(&[RegFile::capacity_for(logical_regs)]),
             one: OpBlock::default(),
         }
     }
@@ -66,12 +67,7 @@ impl TimingBank {
     ) {
         assert_eq!(cfg.logical_regs, self.logical_regs, "lanes must share the register file");
         assert_eq!(cfg.if_conversion, self.if_conversion, "lanes must share if-conversion");
-        let families = &mut self.engine.families;
-        let family = families.iter().position(|f| f.kind == pred).unwrap_or_else(|| {
-            families.push(Family::new(pred));
-            families.len() - 1
-        });
-        self.engine.lanes.push(Lane::new(cfg, Some(stream), family));
+        self.engine.push_lane(cfg, Some(stream), pred);
     }
 
     /// Lanes pushed so far.
@@ -88,19 +84,7 @@ impl TimingBank {
     /// zeroed exactly as in annotated `CycleSim` replay: the cache pass
     /// that produced the streams owns the hierarchy stats.
     pub fn into_results(self) -> Vec<SimResult> {
-        let e = &self.engine;
-        e.lanes
-            .iter()
-            .map(|lane| SimResult {
-                cycles: lane.cycles(),
-                instructions: e.instructions,
-                branches: e.branches,
-                mispredicts: e.families[lane.family].mispredicts,
-                spill_stores: e.spill_stores(),
-                spill_reloads: e.spill_reloads(),
-                cache: lane.cache_stats(),
-            })
-            .collect()
+        (0..self.len()).map(|i| self.engine.result(i)).collect()
     }
 }
 

@@ -16,7 +16,8 @@
 //!   [`replay_bank`](SegmentedRecording::replay_bank) streams the
 //!   segments through a bank of consumers with double buffering: a
 //!   background loader thread reads and parses segment *k+1* while the
-//!   caller's consumers drain segment *k*. Decode order and content are
+//!   caller's consumers drain segment *k* (in-memory segments, with no
+//!   reads to overlap, load in line). Decode order and content are
 //!   bit-identical to an unsegmented [`Recording`](crate::Recording)
 //!   replay.
 //!
@@ -545,11 +546,19 @@ impl SegmentedRecording {
     /// segment loaded and parsed on a background thread while the
     /// current one is being drained (double buffering). The loader stops
     /// early if a segment fails validation or the drain side bails.
+    ///
+    /// A recording held in memory has no reads to overlap, and a thread
+    /// hand-off per segment costs more than parsing a small one, so its
+    /// segments are loaded in line, in the same order and with the same
+    /// validation.
     fn stream_segments(
         &self,
         mut drain: impl FnMut(&PackedStream),
     ) -> Result<(), SegmentError> {
-        if self.slots.is_empty() {
+        if !self.slots.iter().any(|slot| matches!(slot, Slot::File { .. })) {
+            for position in 0..self.slots.len() {
+                drain(&self.load(position)?);
+            }
             return Ok(());
         }
         std::thread::scope(|scope| {

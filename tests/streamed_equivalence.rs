@@ -13,7 +13,7 @@ use std::path::PathBuf;
 
 use bioperf_core::orchestrate::{run_suite, SpillConfig, SuiteConfig};
 use bioperf_kernels::{registry, ProgramId, Scale, Variant};
-use bioperf_pipe::{CycleSim, PlatformConfig};
+use bioperf_pipe::{CycleSim, PlatformBank, PlatformConfig};
 use bioperf_trace::{Recorder, SpillRecorder, Tape, TraceConsumer};
 
 fn scratch(tag: &str) -> PathBuf {
@@ -95,7 +95,7 @@ fn streamed_suite_is_worker_count_independent() {
 fn blocked_streamed_bank_matches_per_op_in_memory_replay() {
     // The two replay transports composed: disk-shaped segments (here
     // in-memory, same chunking and headers) *and* block-batched decode
-    // through the pipeline's phased block engine, against the plainest
+    // through the suite's shared-front platform bank, against the plainest
     // possible reference — one op at a time out of the in-memory
     // recording, straight into `consume`. Odd block sizes interact with
     // the segment edges (a block never spans two segments), so every
@@ -127,15 +127,15 @@ fn blocked_streamed_bank_matches_per_op_in_memory_replay() {
         let segmented =
             spill.into_segmented(recording.program().clone()).expect("in-memory spill");
         for block_ops in [1, 127, 4096] {
-            let mut bank: Vec<CycleSim> =
-                platforms.iter().map(|&p| CycleSim::new(p)).collect();
-            segmented.replay_bank_blocks(&mut bank, block_ops).expect("streamed replay");
-            for (platform, (sim, want)) in
-                platforms.iter().zip(bank.into_iter().zip(&reference))
+            let mut bank = PlatformBank::new(&platforms);
+            segmented
+                .replay_bank_blocks(std::slice::from_mut(&mut bank), block_ops)
+                .expect("streamed replay");
+            for (platform, (got, want)) in platforms.iter().zip(bank.results().iter().zip(&reference))
             {
                 assert_eq!(
-                    sim.into_result(),
-                    *want,
+                    got,
+                    want,
                     "{}: {segment_ops}-op segments, {block_ops}-op blocks",
                     platform.name
                 );

@@ -4,14 +4,15 @@
 //! under cycle simulation (the consumer must never affect results).
 //!
 //! The same bar applies to *how* a trace is replayed: the suite's
-//! single-pass bank replay (one packed decode driving all four platform
-//! models at once) must be indistinguishable from four independent
-//! sequential replays, and from the conformance reference pipeline.
+//! single-pass bank replay (one packed decode and one shared register
+//! plan and predictor front driving all four platform models at once)
+//! must be indistinguishable from four independent sequential replays,
+//! and from the conformance reference pipeline.
 
 use bioperf_conform::RefPipeline;
 use bioperf_loadchar::core::Characterizer;
 use bioperf_loadchar::kernels::{registry, ProgramId, Scale, Variant};
-use bioperf_loadchar::pipe::{CycleSim, PlatformConfig};
+use bioperf_loadchar::pipe::{CycleSim, PlatformBank, PlatformConfig};
 use bioperf_loadchar::trace::replay::{Recorder, Recording};
 use bioperf_loadchar::trace::{NullTracer, Tape};
 
@@ -66,20 +67,21 @@ fn runs_are_seed_deterministic() {
 
 #[test]
 fn bank_replay_matches_four_sequential_replays_at_small_scale() {
-    // The suite replays every recording through a bank of all four
-    // platform simulators off one decode pass; a platform model inside
-    // the bank must produce the same cycle counts and hierarchy stats
-    // as a dedicated sequential replay of the same recording.
+    // The suite replays every recording through one shared-front bank
+    // of all four platforms off one decode pass (one register plan,
+    // branch merge and predictor per branch stream); a platform lane
+    // inside the bank must produce the same cycle counts and hierarchy
+    // stats as a dedicated sequential replay of the same recording.
     for program in ProgramId::ALL {
         let recording = record(program, Scale::Small, 42);
         let platforms = PlatformConfig::all();
-        let mut bank: Vec<CycleSim> = platforms.iter().map(|&p| CycleSim::new(p)).collect();
-        recording.replay_bank(&mut bank);
-        for (platform, banked) in platforms.iter().zip(&bank) {
+        let mut bank = PlatformBank::new(&platforms);
+        recording.replay(&mut bank);
+        for (platform, banked) in platforms.iter().zip(bank.results()) {
             let mut solo = CycleSim::new(*platform);
             recording.replay(&mut solo);
             assert_eq!(
-                banked.result(),
+                banked,
                 solo.result(),
                 "{program}/{}: bank replay diverged from a sequential replay",
                 platform.name
@@ -90,18 +92,19 @@ fn bank_replay_matches_four_sequential_replays_at_small_scale() {
 
 #[test]
 fn bank_replay_matches_the_reference_pipeline() {
-    // Conformance cross-check of the bank path itself: each optimized
-    // simulator fed by the shared decode must agree with the reference
-    // pipeline replaying the same recording on the same platform.
+    // Conformance cross-check of the bank path itself: each platform
+    // lane fed by the shared decode and shared front must agree with the
+    // reference pipeline replaying the same recording on the same
+    // platform.
     let recording = record(ProgramId::Hmmsearch, Scale::Test, 42);
     let platforms = PlatformConfig::all();
-    let mut bank: Vec<CycleSim> = platforms.iter().map(|&p| CycleSim::new(p)).collect();
-    recording.replay_bank(&mut bank);
-    for (platform, banked) in platforms.iter().zip(&bank) {
+    let mut bank = PlatformBank::new(&platforms);
+    recording.replay(&mut bank);
+    for (platform, banked) in platforms.iter().zip(bank.results()) {
         let mut reference = RefPipeline::new(*platform);
         recording.replay(&mut reference);
         assert_eq!(
-            banked.result(),
+            banked,
             reference.result(),
             "{}: bank replay diverged from the reference pipeline",
             platform.name
